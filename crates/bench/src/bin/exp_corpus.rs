@@ -107,9 +107,17 @@ fn parse_args(rest: &[String]) -> Args {
     out
 }
 
+/// Reports a corpus failure and exits 1: a directory that cannot hold a
+/// corpus, a failed write or an undecodable entry is a verification
+/// failure, never a panic's 101.
+fn fail(what: String) -> ! {
+    eprintln!("FAILED {what}");
+    std::process::exit(1);
+}
+
 fn open_corpus(args: &Args) -> Corpus {
     let dir = args.dir.clone().unwrap_or_else(|| usage());
-    Corpus::open(dir).expect("corpus directory")
+    Corpus::open(&dir).unwrap_or_else(|err| fail(format!("to open corpus {dir}: {err}")))
 }
 
 fn record(args: &Args) {
@@ -137,7 +145,7 @@ fn record(args: &Args) {
         // rewritten under a live tail.
         let existing: std::collections::HashSet<_> = corpus
             .entries()
-            .expect("list corpus")
+            .unwrap_or_else(|err| fail(format!("to list corpus {}: {err}", corpus.dir().display())))
             .iter()
             .map(MeasurementSource::key)
             .collect();
@@ -155,10 +163,14 @@ fn record(args: &Args) {
         }
     }
     for set in &sets {
-        let path = corpus.store(set).expect("store entry");
+        let path = corpus
+            .store(set)
+            .unwrap_or_else(|err| fail(format!("to store {}: {err}", set.key())));
         if args.jsonl {
             let sidecar = path.with_extension("jsonl");
-            std::fs::write(&sidecar, jsonl::to_jsonl(set)).expect("write jsonl dump");
+            if let Err(err) = std::fs::write(&sidecar, jsonl::to_jsonl(set)) {
+                fail(format!("to write {}: {err}", sidecar.display()));
+            }
         }
         println!(
             "  {}  ({} intervals × {} paths, fp {:016x})",
@@ -176,13 +188,9 @@ fn replay(args: &Args) {
     // `entries()` decodes every file's provenance prefix, so a corrupt
     // entry surfaces *here*, not just at acquire time — report it and exit
     // 1 (a codec failure is a verification failure, not a crash).
-    let entries = match corpus.entries() {
-        Ok(entries) => entries,
-        Err(err) => {
-            eprintln!("FAILED to list corpus {}: {err}", corpus.dir().display());
-            std::process::exit(1);
-        }
-    };
+    let entries = corpus
+        .entries()
+        .unwrap_or_else(|err| fail(format!("to list corpus {}: {err}", corpus.dir().display())));
     let mut t = Table::new(vec![
         "scenario",
         "seed",
@@ -228,13 +236,9 @@ fn replay(args: &Args) {
 
 fn reinfer(args: &Args) {
     let corpus = open_corpus(args);
-    let sets = match corpus.load_all() {
-        Ok(sets) => sets,
-        Err(err) => {
-            eprintln!("FAILED to load corpus {}: {err}", corpus.dir().display());
-            std::process::exit(1);
-        }
-    };
+    let sets = corpus
+        .load_all()
+        .unwrap_or_else(|err| fail(format!("to load corpus {}: {err}", corpus.dir().display())));
     println!(
         "== re-inference over {} stored sets (zero simulations) ==\n",
         sets.len()

@@ -8,12 +8,7 @@
 //! [`nni_scenario::run_sets`].
 
 use nni_scenario::library::{topology_a_scenario, ExperimentParams, Mechanism};
-use nni_scenario::{ExperimentOutcome, SweepSet};
-
-/// Runs one topology-A experiment end to end (compile + serial run).
-pub fn run_topology_a(p: ExperimentParams) -> ExperimentOutcome {
-    topology_a_scenario(p).run()
-}
+use nni_scenario::SweepSet;
 
 fn set(
     name: &str,

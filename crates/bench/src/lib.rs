@@ -1,8 +1,8 @@
 //! # nni-bench
 //!
 //! Experiment regenerators for every table and figure of the paper's
-//! evaluation (§6), plus shared harness code for the Criterion benches.
-//! Everything runs on the `nni-scenario` API: the sweeps here are
+//! evaluation (§6). Everything runs on the `nni-scenario` API: the sweeps
+//! here are
 //! [`SweepSet`]s, and any
 //! [`Executor`](nni_scenario::Executor) — serial or sharded — runs them
 //! (whole sweeps batch through [`nni_scenario::run_sets`] in one call).
@@ -30,7 +30,7 @@ pub mod table;
 pub mod topob;
 
 pub use cli::{ExpArgs, ExpCaps};
-pub use expsets::{run_topology_a, table2_sets};
+pub use expsets::table2_sets;
 // Re-exported so harness code keeps one import path for the experiment
 // surface; the types live in `nni-scenario`.
 pub use nni_scenario::library::{

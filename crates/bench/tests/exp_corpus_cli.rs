@@ -1,7 +1,9 @@
 //! Exit-code contract of `exp_corpus replay --verify`: a corpus whose
 //! entries all decode exits 0; any codec failure — whether it surfaces at
 //! listing time (corrupt provenance prefix) or at acquire time (corrupt
-//! payload/checksum) — exits exactly 1, never a panic's 101.
+//! payload/checksum) — exits exactly 1, never a panic's 101. The same holds
+//! for a `--dir` that cannot be a corpus directory, in `record` and
+//! `replay` alike.
 
 use std::fs;
 use std::path::PathBuf;
@@ -100,4 +102,22 @@ fn corrupt_prefix_fails_listing_with_exit_one() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("FAILED to list corpus"));
     fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn dir_that_is_a_regular_file_fails_with_exit_one() {
+    let file = temp_dir("regular-file");
+    fs::write(&file, b"not a directory").expect("write");
+
+    for cmd in ["record", "replay"] {
+        let out = exp_corpus(&[cmd, "--dir", file.to_str().unwrap()]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "`{cmd}` over a regular file must exit 1, not 101; stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains("FAILED to open corpus"));
+    }
+    fs::remove_file(&file).expect("cleanup");
 }

@@ -10,29 +10,20 @@
 //! (the pre-PR-3 `Arrive(Packet)` made every heap entry ~80 bytes and every
 //! sift copy the whole packet). Instead an `Arrive` carries a 4-byte
 //! [`PacketHandle`] into the [`PacketSlab`](crate::slab::PacketSlab), and
-//! link/flow/lane/slot references are `u32`, so a full heap entry —
+//! link/flow/lane/slot references are `u32`, so a full queue entry —
 //! `(SimTime, seq, Event)` — is 32 bytes.
 //!
-//! # Two implementations, one API
+//! # The calendar queue
 //!
-//! * [`HeapEventQueue`] — a `BinaryHeap` over the compact entries. O(log n)
-//!   push/pop, branch-predictable, cache-friendly at the pending-event
-//!   counts the simulator produces (10³–10⁴).
-//! * [`CalendarEventQueue`] — a classic two-level calendar/bucket queue:
-//!   a ring of time buckets (width [`CAL_BUCKET_NS`], lazily sorted when the
-//!   clock enters them) with a far-future overflow heap. O(1) amortized for
-//!   events within the ring horizon.
-//!
-//! Both order strictly by `(time, insertion seq)` — a property test asserts
-//! they pop identically under random interleaved push/pop — so swapping
-//! one for the other can never change simulation results. [`EventQueue`]
-//! aliases the implementation the simulator uses: the **calendar** queue.
-//! On the real event mix (`bench_emulator`, PR 3 measurements) the calendar
-//! beat the compact heap ~1.8× (`topology_a_1s` median 4.3 ms vs 7.6 ms;
-//! both far ahead of the pre-PR-3 fat-entry heap's 17.7 ms), because nearly
-//! every event lands within a few buckets of `now` where push and pop are
-//! O(1) appends; `bench_emulator`'s `event_queue/*` group keeps measuring
-//! both so a workload shift can re-open the question.
+//! [`CalendarEventQueue`] is a classic two-level calendar/bucket queue: a
+//! ring of time buckets (width [`CAL_BUCKET_NS`], lazily sorted when the
+//! clock enters them) with a far-future overflow heap. It is O(1)
+//! amortized for events within the ring horizon, and nearly every event the
+//! simulator schedules lands within a few buckets of `now`. On the real
+//! event mix it beat a binary heap over the same compact entries ~1.8×
+//! (`topology_a_1s` median 4.3 ms vs 7.6 ms). [`EventQueue`] aliases it.
+//! Unit and property tests check its pop order against a brute-force
+//! model.
 
 use crate::packet::FlowId;
 use crate::slab::PacketHandle;
@@ -115,42 +106,6 @@ pub type EventQueue = CalendarEventQueue;
 /// ([`crate::build_fingerprint`]).
 pub const DEFAULT_QUEUE_KIND: &str = "calendar-queue";
 
-/// Deterministic earliest-first event queue over a binary heap.
-#[derive(Default)]
-pub struct HeapEventQueue {
-    heap: BinaryHeap<Entry>,
-    next_seq: u64,
-}
-
-impl HeapEventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> HeapEventQueue {
-        HeapEventQueue::default()
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// Width of one calendar bucket in nanoseconds (~131 µs: the order of a
 /// full-MTU serialization time on the topologies' 10–100 Mb/s links).
 pub const CAL_BUCKET_NS: u64 = 1 << 17;
@@ -163,8 +118,7 @@ pub const CAL_BUCKETS: usize = 512;
 /// near-future events hash into a ring of time buckets, far-future events
 /// overflow into a heap that refills the ring as the clock advances.
 ///
-/// Pops in exactly the same `(time, insertion seq)` order as
-/// [`HeapEventQueue`].
+/// Pops in strict `(time, insertion seq)` order.
 pub struct CalendarEventQueue {
     /// Ring of unsorted future buckets; index `abs_bucket % CAL_BUCKETS`.
     buckets: Vec<Vec<Entry>>,
@@ -292,7 +246,7 @@ mod tests {
 
     #[test]
     fn entries_stay_compact() {
-        // The whole point of the slab/handle design: a heap entry is a
+        // The whole point of the slab/handle design: a queue entry is a
         // fixed 32-byte key, not an inlined packet.
         assert!(std::mem::size_of::<Entry>() <= 32);
         assert!(std::mem::size_of::<Event>() <= 16);
@@ -333,8 +287,16 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Reference model: pending events in a `Vec` kept sorted by time, each
+    /// push placed after every pending event at the same time (insertion
+    /// order breaks ties).
+    fn model_push(model: &mut Vec<(SimTime, Event)>, at: SimTime, event: Event) {
+        let i = model.partition_point(|&(t, _)| t <= at);
+        model.insert(i, (at, event));
+    }
+
     #[test]
-    fn calendar_matches_heap_on_a_mixed_schedule() {
+    fn calendar_matches_a_sorted_model_on_a_mixed_schedule() {
         // Same-time ties, same-bucket clusters, far-future timers, and
         // pushes at the current pop time — the shapes the simulator emits.
         let times: Vec<u64> = vec![
@@ -348,27 +310,23 @@ mod tests {
             2 * (CAL_BUCKETS as u64) * CAL_BUCKET_NS, // far beyond
             42,
         ];
-        let mut heap = HeapEventQueue::new();
+        let mut model = Vec::new();
         let mut cal = CalendarEventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            heap.push(SimTime(t), Event::FlowStart { slot: i as u32 });
+            model_push(&mut model, SimTime(t), Event::FlowStart { slot: i as u32 });
             cal.push(SimTime(t), Event::FlowStart { slot: i as u32 });
         }
         // Interleave: pop a few, then push at the popped time (transmit
         // schedules `Arrive` at `self.now`).
         for round in 0..3 {
-            let (ht, he) = heap.pop().unwrap();
             let (ct, ce) = cal.pop().unwrap();
-            assert_eq!((ht, he), (ct, ce), "round {round}");
-            heap.push(ht, Event::Sample);
+            assert_eq!((ct, ce), model.remove(0), "round {round}");
+            model_push(&mut model, ct, Event::Sample);
             cal.push(ct, Event::Sample);
         }
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (h, c) => assert_eq!(h, c),
-            }
+        for expect in model {
+            assert_eq!(cal.pop(), Some(expect));
         }
-        assert!(heap.is_empty() && cal.is_empty());
+        assert!(cal.is_empty());
     }
 }

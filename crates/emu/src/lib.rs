@@ -54,7 +54,7 @@ pub fn build_fingerprint() -> String {
 pub use bucket::TokenBucket;
 pub use config::SimConfig;
 pub use diff::{Differentiation, ShapeLaneConfig};
-pub use event::{CalendarEventQueue, Event, EventQueue, HeapEventQueue};
+pub use event::{CalendarEventQueue, Event, EventQueue};
 pub use packet::{ClassLabel, FlowId, Packet, Route, RouteId};
 pub use scenario::{
     background_route, link_params, measured_routes, policed_demand, policer_at_fraction,

@@ -49,8 +49,9 @@ pub fn encode_report(report: &SimReport) -> Vec<u8> {
         }
     }
     // Delay grid: both ends of this wire are the same build (worker and
-    // parent ship together), so an unconditional flag byte is safe — no
-    // committed golden pins these bytes.
+    // parent ship together), so an unconditional flag byte is safe. The one
+    // committed report (`fixtures/v1/report_frame.bin`, a frame-interop
+    // fixture) is loss-only and carries this flag as 0.
     w.u8(log.has_delay() as u8);
     if log.has_delay() {
         for t in 0..log.interval_count() {

@@ -1,9 +1,9 @@
 //! Property-based tests for the emulator substrate.
 
 use nni_emu::{
-    CalendarEventQueue, CcKind, CongestionControl, Differentiation, Event, FlowId, HeapEventQueue,
-    LinkParams, Packet, PacketSlab, Route, RouteId, ShapeLaneConfig, SimConfig, SimTime, Simulator,
-    SizeDist, TokenBucket, TrafficSpec,
+    CalendarEventQueue, CcKind, CongestionControl, Differentiation, Event, FlowId, LinkParams,
+    Packet, PacketSlab, Route, RouteId, ShapeLaneConfig, SimConfig, SimTime, Simulator, SizeDist,
+    TokenBucket, TrafficSpec,
 };
 use nni_topology::{LinkId, PathId};
 use proptest::prelude::*;
@@ -154,15 +154,14 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Both event-queue implementations pop in exact `(time, insertion
-    /// sequence)` order under random interleaved push/pop — the determinism
-    /// invariant the slab/compact-entry rewrite must preserve, checked
-    /// against a brute-force min-scan model.
+    /// The calendar event queue pops in exact `(time, insertion sequence)`
+    /// order under random interleaved push/pop — the determinism invariant
+    /// the slab/compact-entry rewrite must preserve, checked against a
+    /// brute-force min-scan model.
     #[test]
     fn event_queues_pop_in_time_insertion_order(
         ops in prop::collection::vec((0u64..1_000_000_000, prop::bool::ANY), 1..400),
     ) {
-        let mut heap = HeapEventQueue::new();
         let mut cal = CalendarEventQueue::new();
         // Model: pending (time, insertion seq, slot); pop = min by (time, seq).
         let mut model: Vec<(u64, u64, u32)> = Vec::new();
@@ -177,26 +176,22 @@ proptest! {
                     .expect("non-empty");
                 let (t, _, slot) = model.swap_remove(best);
                 let expect = Some((SimTime(t), Event::FlowStart { slot }));
-                prop_assert_eq!(heap.pop(), expect, "heap order");
                 prop_assert_eq!(cal.pop(), expect, "calendar order");
             } else {
                 let slot = seq as u32;
-                heap.push(SimTime(time), Event::FlowStart { slot });
                 cal.push(SimTime(time), Event::FlowStart { slot });
                 model.push((time, seq, slot));
                 seq += 1;
             }
-            prop_assert_eq!(heap.len(), model.len());
             prop_assert_eq!(cal.len(), model.len());
         }
-        // Drain: remaining events come out in identical, fully sorted order.
+        // Drain: remaining events come out in fully sorted order.
         model.sort_unstable_by_key(|&(t, s, _)| (t, s));
         for (t, _, slot) in model {
             let expect = Some((SimTime(t), Event::FlowStart { slot }));
-            prop_assert_eq!(heap.pop(), expect);
             prop_assert_eq!(cal.pop(), expect);
         }
-        prop_assert!(heap.is_empty() && cal.is_empty());
+        prop_assert!(cal.is_empty());
     }
 
     /// The packet slab neither leaks nor double-frees under random

@@ -10,13 +10,20 @@ use std::io::Cursor;
 use nni_emu::{decode_report, encode_report, LinkTruth, QueueTrace, SimReport};
 use nni_measure::codec::CodecError;
 use nni_measure::{
-    frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, FrameError, MeasurementLog,
-    FRAME_VERSION,
+    frame_bytes, read_frame, read_frame_v1, FrameError, MeasurementLog, FRAME_VERSION,
+    FRAME_VERSION_V1,
 };
 use nni_topology::{LinkId, PathId};
 use proptest::prelude::*;
 
 const MAGIC: &[u8; 7] = b"NNITEST";
+
+/// Frames the frozen v1 writer produced (see `fixtures/v1/README.md`):
+/// [`v1_fixture_report`] under [`MAGIC`], an encoded measurement set under
+/// `NNIPROP`, and `b"legacy"` under [`MAGIC`].
+const V1_REPORT_FRAME: &[u8] = include_bytes!("../../../fixtures/v1/report_frame.bin");
+const V1_SET_FRAME: &[u8] = include_bytes!("../../../fixtures/v1/set_frame.bin");
+const V1_LEGACY_FRAME: &[u8] = include_bytes!("../../../fixtures/v1/legacy_frame.bin");
 
 /// Cheap deterministic value mixer: dims and one salt fully determine a
 /// report, so failing cases reproduce from the printed inputs.
@@ -86,6 +93,45 @@ fn arb_report() -> impl Strategy<Value = SimReport> {
         0u64..u64::MAX,
     )
         .prop_map(|(p, i, l, c, lens, salt)| build_report(p, i, l, c, lens, salt))
+}
+
+/// The report inside [`V1_REPORT_FRAME`].
+fn v1_fixture_report() -> SimReport {
+    build_report(3, 5, 2, 2, vec![4, 0, 2], 0x5EED)
+}
+
+/// Backward interop: a frozen v1 frame decodes bit-identically in the v2
+/// reader — a fleet can upgrade its readers first.
+#[test]
+fn v1_frames_decode_bit_identically_in_the_v2_reader() {
+    assert_eq!(V1_REPORT_FRAME[7], FRAME_VERSION_V1);
+    let payload = read_frame(&mut Cursor::new(V1_REPORT_FRAME), MAGIC)
+        .expect("v1 frame reads clean")
+        .expect("one frame present");
+    assert_eq!(decode_report(&payload).unwrap(), v1_fixture_report());
+}
+
+/// The bit-flip guarantee against the frozen v1 layout, exhaustively: no
+/// single flipped bit of any v1 fixture frame delivers a payload through
+/// either reader.
+#[test]
+fn v1_frame_bit_flip_never_delivers_in_either_reader() {
+    for (frame, magic) in [
+        (V1_REPORT_FRAME, MAGIC),
+        (V1_SET_FRAME, b"NNIPROP"),
+        (V1_LEGACY_FRAME, MAGIC),
+    ] {
+        for i in 0..frame.len() {
+            for bit in 0..8 {
+                let mut flipped = frame.to_vec();
+                flipped[i] ^= 1 << bit;
+                let v2 = read_frame(&mut Cursor::new(&flipped), magic);
+                assert!(v2.is_err(), "byte {i} bit {bit} via v2 reader: {v2:?}");
+                let v1 = read_frame_v1(&mut Cursor::new(&flipped), magic);
+                assert!(v1.is_err(), "byte {i} bit {bit} via v1 reader: {v1:?}");
+            }
+        }
+    }
 }
 
 /// Maps a unit fraction onto a strict index of an `n`-byte buffer.
@@ -173,17 +219,6 @@ proptest! {
         }
     }
 
-    /// Backward interop: every frozen v1 frame decodes bit-identically in
-    /// the v2 reader — a fleet can upgrade its readers first.
-    #[test]
-    fn v1_frames_decode_bit_identically_in_the_v2_reader(report in arb_report()) {
-        let frame = frame_bytes_v1(MAGIC, &encode_report(&report));
-        let payload = read_frame(&mut Cursor::new(&frame), MAGIC)
-            .expect("v1 frame reads clean")
-            .expect("one frame present");
-        prop_assert_eq!(&decode_report(&payload).unwrap(), &report);
-    }
-
     /// Forward interop: a still-deployed v1 reader stops on a v2 frame at
     /// the version byte with a typed `UnsupportedVersion(2)` — never a
     /// checksum mismatch, never a speculative allocation from misreading
@@ -196,23 +231,6 @@ proptest! {
             got,
             Err(FrameError::Codec(CodecError::UnsupportedVersion(FRAME_VERSION)))
         ), "v1 reader on a v2 frame: {got:?}");
-    }
-
-    /// The PR 8 bit-flip guarantee re-run against the frozen v1 layout:
-    /// one flipped bit never delivers a payload through either reader.
-    #[test]
-    fn v1_frame_bit_flip_never_delivers_in_either_reader(
-        report in arb_report(),
-        frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let mut frame = frame_bytes_v1(MAGIC, &encode_report(&report));
-        let i = at(frac, frame.len());
-        frame[i] ^= 1 << bit;
-        let v2 = read_frame(&mut Cursor::new(&frame), MAGIC);
-        prop_assert!(v2.is_err(), "flipped v1 frame via v2 reader: {v2:?}");
-        let v1 = read_frame_v1(&mut Cursor::new(&frame), MAGIC);
-        prop_assert!(v1.is_err(), "flipped v1 frame via v1 reader: {v1:?}");
     }
 
     /// Marker-adjacent corruption: a flip confined to the 8-byte sync

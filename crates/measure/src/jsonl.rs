@@ -1,6 +1,7 @@
-//! Human-readable JSON-lines dump of a [`MeasurementSet`] — the greppable
-//! twin of the binary codec (see [`crate::codec`]), hand-rolled for the same
-//! offline-vendored reason.
+//! Human-readable JSON-lines export of a [`MeasurementSet`] — the greppable
+//! twin of the binary codec (see [`crate::codec`]). It is write-only:
+//! nothing in the tree parses it back, and the binary codec stays the one
+//! format a set is read from.
 //!
 //! One JSON object per line:
 //!
@@ -23,27 +24,19 @@
 //! {"type":"interval","t":0,"sent":[…],"lost":[…],"delay":[null,{"count":12,…}]}
 //! ```
 //!
-//! Round trips are bit-identical: floats are printed with Rust's shortest
-//! round-trip formatting and parsed back with `str::parse::<f64>`, and
-//! `u64`s (seeds, fingerprints, counts) are kept as raw digit strings until
-//! the consumer knows the target type, so values above 2^53 never pass
-//! through an f64.
+//! The text is lossless: floats are printed with Rust's shortest
+//! round-trip formatting, and `u64`s (seeds, fingerprints, counts) as exact
+//! digit strings, so values above 2^53 survive any reader that keeps them
+//! out of an f64.
 
-use crate::codec::CodecError;
-use crate::dataset::{MeasurementSet, Provenance};
-use crate::record::{DelayStats, MeasurementLog};
-use nni_topology::{NodeId, NodeKind, PathId, TopologyBuilder};
+use crate::dataset::MeasurementSet;
+use nni_topology::{NodeKind, PathId};
 
 /// The loss-only format version.
 pub const JSONL_VERSION_V1: u64 = 1;
 
 /// The delay-carrying format version.
 pub const JSONL_VERSION_V2: u64 = 2;
-
-/// Newest `meta`-line version this parser understands.
-pub const JSONL_VERSION: u64 = JSONL_VERSION_V2;
-
-// ---------------------------------------------------------------- writing
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -160,415 +153,13 @@ pub fn to_jsonl(set: &MeasurementSet) -> String {
     out
 }
 
-// ---------------------------------------------------------------- parsing
-
-/// A parsed JSON value. Numbers keep their raw text so integers up to
-/// `u64::MAX` and exact float bit patterns both survive.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Result<&'a Json, CodecError> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or(CodecError::BadValue("missing object key")),
-            _ => Err(CodecError::BadValue("expected object")),
-        }
-    }
-
-    fn str(&self) -> Result<&str, CodecError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(CodecError::BadValue("expected string")),
-        }
-    }
-
-    fn u64(&self) -> Result<u64, CodecError> {
-        match self {
-            Json::Num(s) => s.parse().map_err(|_| CodecError::BadValue("expected u64")),
-            _ => Err(CodecError::BadValue("expected number")),
-        }
-    }
-
-    fn f64(&self) -> Result<f64, CodecError> {
-        match self {
-            Json::Num(s) => s.parse().map_err(|_| CodecError::BadValue("expected f64")),
-            _ => Err(CodecError::BadValue("expected number")),
-        }
-    }
-
-    fn arr(&self) -> Result<&[Json], CodecError> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(CodecError::BadValue("expected array")),
-        }
-    }
-
-    fn u64_arr(&self) -> Result<Vec<u64>, CodecError> {
-        self.arr()?.iter().map(Json::u64).collect()
-    }
-}
-
-/// Minimal recursive-descent JSON parser over one line.
-struct Parser<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            s: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.s.len() && matches!(self.s[self.pos], b' ' | b'\t' | b'\r' | b'\n') {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, CodecError> {
-        self.skip_ws();
-        self.s
-            .get(self.pos)
-            .copied()
-            .ok_or(CodecError::UnexpectedEof)
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), CodecError> {
-        if self.peek()? != c {
-            return Err(CodecError::BadValue("unexpected character"));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, CodecError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, CodecError> {
-        if self.s[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(CodecError::BadValue("bad literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, CodecError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = {
-                self.skip_ws();
-                self.string()?
-            };
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(CodecError::BadValue("expected , or }")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, CodecError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(CodecError::BadValue("expected , or ]")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.s.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.s.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.pos..self.pos + 4)
-                                .ok_or(CodecError::UnexpectedEof)?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| CodecError::BadUtf8)?,
-                                16,
-                            )
-                            .map_err(|_| CodecError::BadValue("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(CodecError::BadValue("bad \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(CodecError::BadValue("bad escape")),
-                    }
-                }
-                _ => {
-                    // Re-synchronize on UTF-8 boundaries: back up and take
-                    // the whole multi-byte character from the source.
-                    let start = self.pos - 1;
-                    let tail =
-                        std::str::from_utf8(&self.s[start..]).map_err(|_| CodecError::BadUtf8)?;
-                    let ch = tail.chars().next().ok_or(CodecError::UnexpectedEof)?;
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, CodecError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.s.len()
-            && matches!(
-                self.s[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(CodecError::BadValue("expected a number"));
-        }
-        let text =
-            std::str::from_utf8(&self.s[start..self.pos]).map_err(|_| CodecError::BadUtf8)?;
-        // Validate now so consumers can trust the raw text.
-        text.parse::<f64>()
-            .map_err(|_| CodecError::BadValue("malformed number"))?;
-        Ok(Json::Num(text.to_string()))
-    }
-
-    fn finish(&mut self) -> Result<(), CodecError> {
-        self.skip_ws();
-        if self.pos != self.s.len() {
-            return Err(CodecError::TrailingBytes);
-        }
-        Ok(())
-    }
-}
-
-fn parse_line(line: &str) -> Result<Json, CodecError> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.finish()?;
-    Ok(v)
-}
-
-/// Parses a JSON-lines dump back into a measurement set (bit-identical to
-/// the dumped one; see the round-trip tests).
-pub fn from_jsonl(text: &str) -> Result<MeasurementSet, CodecError> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-
-    let meta = parse_line(lines.next().ok_or(CodecError::UnexpectedEof)?)?;
-    if meta.get("type")?.str()? != "meta" {
-        return Err(CodecError::BadValue("first line must be meta"));
-    }
-    let version = meta.get("version")?.u64()?;
-    if version != JSONL_VERSION_V1 && version != JSONL_VERSION_V2 {
-        return Err(CodecError::UnsupportedVersion(version.min(255) as u8));
-    }
-    let provenance = Provenance {
-        scenario: meta.get("scenario")?.str()?.to_string(),
-        scenario_fingerprint: meta.get("fingerprint")?.u64()?,
-        seed: meta.get("seed")?.u64()?,
-        build: meta.get("build")?.str()?.to_string(),
-    };
-
-    let mut b = TopologyBuilder::new();
-    let mut classes: Option<Vec<Vec<PathId>>> = None;
-    let mut log: Option<MeasurementLog> = None;
-    let mut expected_intervals = 0usize;
-    let mut delay_rows: Vec<Vec<Option<DelayStats>>> = Vec::new();
-
-    for line in lines {
-        let v = parse_line(line)?;
-        match v.get("type")?.str()? {
-            "node" => {
-                let name = v.get("name")?.str()?;
-                match v.get("kind")?.str()? {
-                    "host" => b.host(name),
-                    "relay" => b.relay(name),
-                    _ => return Err(CodecError::BadValue("node kind")),
-                };
-            }
-            "link" => {
-                b.link_with(
-                    v.get("name")?.str()?,
-                    NodeId(v.get("src")?.u64()? as usize),
-                    NodeId(v.get("dst")?.u64()? as usize),
-                    v.get("capacity_bps")?.f64()?,
-                    v.get("delay_s")?.f64()?,
-                )?;
-            }
-            "path" => {
-                let links = v
-                    .get("links")?
-                    .u64_arr()?
-                    .into_iter()
-                    .map(|l| nni_topology::LinkId(l as usize))
-                    .collect();
-                b.path(v.get("name")?.str()?, links)?;
-            }
-            "classes" => {
-                classes = Some(
-                    v.get("classes")?
-                        .arr()?
-                        .iter()
-                        .map(|c| {
-                            Ok(c.u64_arr()?
-                                .into_iter()
-                                .map(|p| PathId(p as usize))
-                                .collect())
-                        })
-                        .collect::<Result<_, CodecError>>()?,
-                );
-            }
-            "log" => {
-                let interval_s = v.get("interval_s")?.f64()?;
-                if interval_s.is_nan() || interval_s <= 0.0 {
-                    return Err(CodecError::BadValue("non-positive interval"));
-                }
-                let paths = v.get("paths")?.u64()? as usize;
-                if paths == 0 {
-                    return Err(CodecError::BadValue("log with zero paths"));
-                }
-                expected_intervals = v.get("intervals")?.u64()? as usize;
-                log = Some(MeasurementLog::new(paths, interval_s));
-            }
-            "interval" => {
-                let log = log
-                    .as_mut()
-                    .ok_or(CodecError::BadValue("interval before log header"))?;
-                let t = v.get("t")?.u64()? as usize;
-                // Interval lines must be sequential from 0: a duplicated or
-                // dropped line (an easy edit accident in a "greppable"
-                // format) would otherwise sum rows or leave silent zero
-                // gaps while still matching the header's interval count.
-                if t != log.interval_count() {
-                    return Err(CodecError::BadValue("interval lines must be sequential"));
-                }
-                let sent = v.get("sent")?.u64_arr()?;
-                let lost = v.get("lost")?.u64_arr()?;
-                if sent.len() != log.path_count() || lost.len() != log.path_count() {
-                    return Err(CodecError::BadValue("interval row width"));
-                }
-                for (p, (&s, &l)) in sent.iter().zip(&lost).enumerate() {
-                    log.record_sent(t, PathId(p), s);
-                    log.record_lost(t, PathId(p), l);
-                }
-                if version == JSONL_VERSION_V2 {
-                    let cells = v.get("delay")?.arr()?;
-                    if cells.len() != log.path_count() {
-                        return Err(CodecError::BadValue("delay row width"));
-                    }
-                    let row = cells
-                        .iter()
-                        .map(|cell| match cell {
-                            Json::Null => Ok(None),
-                            cell => {
-                                let count = cell.get("count")?.u64()?;
-                                if count == 0 {
-                                    return Err(CodecError::BadValue(
-                                        "delay cell with zero samples",
-                                    ));
-                                }
-                                Ok(Some(DelayStats {
-                                    count,
-                                    p50_s: cell.get("p50_s")?.f64()?,
-                                    p90_s: cell.get("p90_s")?.f64()?,
-                                    p99_s: cell.get("p99_s")?.f64()?,
-                                }))
-                            }
-                        })
-                        .collect::<Result<_, CodecError>>()?;
-                    delay_rows.push(row);
-                }
-            }
-            _ => return Err(CodecError::BadValue("unknown line type")),
-        }
-    }
-
-    let mut log = log.ok_or(CodecError::BadValue("missing log header"))?;
-    if log.interval_count() != expected_intervals {
-        return Err(CodecError::BadValue("interval count mismatch"));
-    }
-    if version == JSONL_VERSION_V2 {
-        log.set_delay(delay_rows);
-    }
-    let topology = b.build();
-    // Same structural check as the binary decoder: the log's width must be
-    // the topology's path count, or inference would index out of bounds.
-    if log.path_count() != topology.path_count() {
-        return Err(CodecError::BadValue("log path count != topology paths"));
-    }
-    Ok(MeasurementSet {
-        topology,
-        classes: classes.ok_or(CodecError::BadValue("missing classes line"))?,
-        log,
-        provenance,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec;
+    use crate::dataset::Provenance;
+    use crate::record::{DelayStats, MeasurementLog};
+    use nni_topology::TopologyBuilder;
 
     fn sample() -> MeasurementSet {
         let mut b = TopologyBuilder::new();
@@ -595,17 +186,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_is_bit_identical() {
-        // Awkward floats (0.1+0.2, 1/3), u64s beyond 2^53, escapes, and
-        // non-ASCII names all survive the text round trip exactly.
-        let set = sample();
-        let text = to_jsonl(&set);
-        let back = from_jsonl(&text).expect("parses");
-        assert_eq!(set, back);
-        assert_eq!(set.fingerprint(), back.fingerprint());
-    }
-
     fn sample_with_delay() -> MeasurementSet {
         let mut set = sample();
         let mut rows = vec![vec![None; 1]; set.log.interval_count()];
@@ -615,12 +195,52 @@ mod tests {
         set
     }
 
+    /// The whole export of [`sample`], pinned byte for byte.
+    const SAMPLE_JSONL: &str = concat!(
+        r#"{"type":"meta","version":1,"scenario":"jsonl sample","fingerprint":18446744073709551614,"seed":1152921504606846976,"build":"test"}"#,
+        "\n",
+        r#"{"type":"node","kind":"host","name":"h0 \"quoted\""}"#,
+        "\n",
+        r#"{"type":"node","kind":"host","name":"h1\nnewline"}"#,
+        "\n",
+        r#"{"type":"node","kind":"relay","name":"r ⟨l5⟩"}"#,
+        "\n",
+        r#"{"type":"link","src":0,"dst":2,"capacity_bps":100000000.0,"delay_s":0.005,"name":"l0"}"#,
+        "\n",
+        r#"{"type":"link","src":2,"dst":1,"capacity_bps":0.30000000000000004,"delay_s":0.3333333333333333,"name":"l1"}"#,
+        "\n",
+        r#"{"type":"path","name":"p0","links":[0,1]}"#,
+        "\n",
+        r#"{"type":"classes","classes":[[0],[]]}"#,
+        "\n",
+        r#"{"type":"log","interval_s":0.1,"paths":1,"intervals":3}"#,
+        "\n",
+        r#"{"type":"interval","t":0,"sent":[100],"lost":[3]}"#,
+        "\n",
+        r#"{"type":"interval","t":1,"sent":[0],"lost":[0]}"#,
+        "\n",
+        r#"{"type":"interval","t":2,"sent":[18446744073709551615],"lost":[0]}"#,
+        "\n",
+    );
+
+    #[test]
+    fn round_trip_is_bit_identical() {
+        // Awkward floats (0.1+0.2, 1/3) print in shortest round-trip form,
+        // u64s beyond 2^53 as exact digits, and quotes, newlines and
+        // non-ASCII names escape cleanly.
+        assert_eq!(to_jsonl(&sample()), SAMPLE_JSONL);
+        for x in [0.1 + 0.2, 1.0 / 3.0, 100e6, 5e-324, f64::MAX] {
+            assert_eq!(num(x).parse::<f64>().unwrap().to_bits(), x.to_bits());
+        }
+    }
+
     #[test]
     fn jsonl_and_binary_agree() {
+        // Exporting a set decoded from its binary encoding gives the same
+        // text as exporting the set itself.
         let set = sample();
         let via_binary = codec::decode(&codec::encode(&set)).unwrap();
-        let via_text = from_jsonl(&to_jsonl(&set)).unwrap();
-        assert_eq!(via_binary, via_text);
+        assert_eq!(to_jsonl(&via_binary), to_jsonl(&set));
     }
 
     #[test]
@@ -628,100 +248,29 @@ mod tests {
         let set = sample_with_delay();
         let text = to_jsonl(&set);
         assert!(text.starts_with("{\"type\":\"meta\",\"version\":2,"));
-        assert!(text.contains("\"delay\":["));
-        let back = from_jsonl(&text).expect("parses");
-        assert_eq!(set, back);
-        assert_eq!(set.fingerprint(), back.fingerprint());
-        // The text and binary forms still agree cell-for-cell.
-        assert_eq!(back, codec::decode(&codec::encode(&set)).unwrap());
+        // The delay grid survives the binary round trip into the export.
+        let via_binary = codec::decode(&codec::encode(&set)).unwrap();
+        assert_eq!(to_jsonl(&via_binary), text);
         // Loss-only dumps keep the version-1 meta line bit-for-bit.
         assert!(to_jsonl(&sample()).starts_with("{\"type\":\"meta\",\"version\":1,"));
     }
 
     #[test]
     fn version_2_interval_lines_require_the_delay_array() {
+        // Every version-2 interval line carries one delay cell per path,
+        // `null` where no packet was sampled.
         let text = to_jsonl(&sample_with_delay());
-        // Stripping the delay arrays while keeping the v2 meta line must
-        // fail loudly, not parse into a loss-only set.
-        let stripped: String = text
+        let intervals: Vec<&str> = text
             .lines()
-            .map(|l| match l.find(",\"delay\":") {
-                Some(i) => format!("{}}}\n", &l[..i]),
-                None => format!("{l}\n"),
-            })
+            .filter(|l| l.starts_with("{\"type\":\"interval\""))
             .collect();
         assert_eq!(
-            from_jsonl(&stripped).unwrap_err(),
-            CodecError::BadValue("missing object key")
+            intervals,
+            [
+                r#"{"type":"interval","t":0,"sent":[100],"lost":[3],"delay":[{"count":3,"p50_s":0.007,"p90_s":0.009,"p99_s":0.009}]}"#,
+                r#"{"type":"interval","t":1,"sent":[0],"lost":[0],"delay":[null]}"#,
+                r#"{"type":"interval","t":2,"sent":[18446744073709551615],"lost":[0],"delay":[{"count":1,"p50_s":0.333333333,"p90_s":0.333333333,"p99_s":0.333333333}]}"#,
+            ]
         );
-    }
-
-    #[test]
-    fn malformed_input_is_rejected() {
-        assert!(from_jsonl("").is_err());
-        assert!(from_jsonl("{\"type\":\"meta\"}").is_err());
-        let set = sample();
-        let text = to_jsonl(&set);
-        // Dropping the classes line is an error.
-        let without: String = text
-            .lines()
-            .filter(|l| !l.contains("\"classes\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(
-            from_jsonl(&without).unwrap_err(),
-            CodecError::BadValue("missing classes line")
-        );
-        // Truncating the intervals is an error (count mismatch).
-        let truncated: String = text
-            .lines()
-            .take_while(|l| !l.contains("\"interval\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(
-            from_jsonl(&truncated).unwrap_err(),
-            CodecError::BadValue("interval count mismatch")
-        );
-    }
-
-    #[test]
-    fn rejects_duplicated_or_inconsistent_lines() {
-        let set = sample();
-        let text = to_jsonl(&set);
-        // Duplicating an interval line (easy edit accident) is an error —
-        // not a silent double count.
-        let first_interval = text
-            .lines()
-            .find(|l| l.contains("\"interval\""))
-            .unwrap()
-            .to_string();
-        let duplicated: String = text
-            .lines()
-            .flat_map(|l| {
-                let dup = l.contains("\"interval\"") && l == first_interval;
-                std::iter::once(format!("{l}\n")).chain(dup.then(|| format!("{l}\n")))
-            })
-            .collect();
-        assert_eq!(
-            from_jsonl(&duplicated).unwrap_err(),
-            CodecError::BadValue("interval lines must be sequential")
-        );
-        // A log header wider than the topology's path set is an error.
-        let widened = text.replace("\"paths\":1", "\"paths\":2");
-        let err = from_jsonl(&widened).unwrap_err();
-        assert!(
-            matches!(err, CodecError::BadValue(_)),
-            "widened log must fail, got {err:?}"
-        );
-    }
-
-    #[test]
-    fn parser_handles_json_syntax() {
-        let v = parse_line("{\"a\":[1,2.5,\"x\"],\"b\":{\"c\":true},\"d\":null}").unwrap();
-        assert_eq!(v.get("a").unwrap().arr().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap(), &Json::Bool(true));
-        assert_eq!(v.get("d").unwrap(), &Json::Null);
-        assert!(parse_line("{\"a\":}").is_err());
-        assert!(parse_line("{} extra").is_err());
     }
 }

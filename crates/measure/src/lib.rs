@@ -14,8 +14,9 @@
 //! * [`dataset`] — the acquisition/inference seam: [`MeasurementSet`] (the
 //!   serializable bundle inference consumes), the [`MeasurementSource`]
 //!   trait, and the [`MeasurementCache`].
-//! * [`codec`] / [`jsonl`] — the hand-rolled binary and JSON-lines
-//!   serializations of a measurement set (no serde; the tree is vendored).
+//! * [`codec`] — the hand-rolled binary serialization of a measurement set
+//!   (no serde; the tree is vendored); [`jsonl`] — its write-only
+//!   JSON-lines export.
 //! * [`corpus`] — on-disk corpora of encoded sets ([`Corpus`],
 //!   [`CorpusEntry`]).
 //! * [`interval`] — the one measurement-interval binning rule, shared with
@@ -76,6 +77,6 @@ pub use segment::{
 pub use stream::{PathsetHandle, SlidingCounts, StreamError, StreamingLog};
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
-    frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, write_frame, FrameError, WireReader,
-    WireWriter, FRAME_VERSION, FRAME_VERSION_V1, SYNC_MARKER,
+    frame_bytes, read_frame, read_frame_v1, write_frame, FrameError, WireReader, WireWriter,
+    FRAME_VERSION, FRAME_VERSION_V1, SYNC_MARKER,
 };

@@ -23,8 +23,8 @@
 //! ```
 //!
 //! Version 1 is the same layout without the per-chunk sync marker. The
-//! follower reads both; the writer emits v2 ([`SegmentWriter::create_v1`]
-//! still writes v1 for compatibility tests), and a deployed v1 reader
+//! follower reads both; the writer emits only v2 (the interop tests read a
+//! committed v1 file from `fixtures/v1/`), and a deployed v1 reader
 //! meeting a v2 file stops at the version byte with
 //! [`SegmentError::UnsupportedVersion`]`(2)`.
 //!
@@ -165,22 +165,6 @@ fn chunk_bytes(tag: u8, payload: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Frames one frozen v1 chunk (no sync marker) — what pre-v2 writers
-/// emitted.
-fn chunk_bytes_v1(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(tag);
-    w.u64(payload.len() as u64);
-    w.raw(payload);
-    let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
-    let checksum = h.0;
-    w.u64(checksum);
-    w.into_bytes()
-}
-
 /// Append-only segment producer. Every write is one whole chunk followed
 /// by a flush, so a concurrent [`SegmentFollower`] only ever sees a clean
 /// prefix plus (at worst) one incomplete trailing chunk.
@@ -189,7 +173,6 @@ pub struct SegmentWriter {
     file: File,
     n_paths: usize,
     written: usize,
-    version: u8,
 }
 
 impl SegmentWriter {
@@ -200,25 +183,6 @@ impl SegmentWriter {
         path: impl AsRef<Path>,
         set: &MeasurementSet,
     ) -> Result<SegmentWriter, SegmentError> {
-        SegmentWriter::create_with_version(path, set, VERSION)
-    }
-
-    /// Creates a frozen version-1 segment — what every pre-v2 producer
-    /// wrote. Kept so interop tests can generate genuine v1 files and pin
-    /// both that the follower still reads them bit-identically and the v1
-    /// length-field stall this format cannot avoid.
-    pub fn create_v1(
-        path: impl AsRef<Path>,
-        set: &MeasurementSet,
-    ) -> Result<SegmentWriter, SegmentError> {
-        SegmentWriter::create_with_version(path, set, VERSION_V1)
-    }
-
-    fn create_with_version(
-        path: impl AsRef<Path>,
-        set: &MeasurementSet,
-        version: u8,
-    ) -> Result<SegmentWriter, SegmentError> {
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -226,20 +190,15 @@ impl SegmentWriter {
             .open(path.as_ref())?;
         let mut prefix = Vec::with_capacity(MAGIC.len() + 1);
         prefix.extend_from_slice(MAGIC);
-        prefix.push(version);
+        prefix.push(VERSION);
         file.write_all(&prefix)?;
         let header = codec::encode(&header_set(set));
-        let chunk = match version {
-            VERSION_V1 => chunk_bytes_v1(TAG_HEADER, &header),
-            _ => chunk_bytes(TAG_HEADER, &header),
-        };
-        file.write_all(&chunk)?;
+        file.write_all(&chunk_bytes(TAG_HEADER, &header))?;
         file.flush()?;
         Ok(SegmentWriter {
             file,
             n_paths: set.log.path_count(),
             written: 0,
-            version,
         })
     }
 
@@ -277,11 +236,8 @@ impl SegmentWriter {
                 w.vu(log.lost(t, PathId(p)));
             }
         }
-        let chunk = match self.version {
-            VERSION_V1 => chunk_bytes_v1(TAG_INTERVALS, w.bytes()),
-            _ => chunk_bytes(TAG_INTERVALS, w.bytes()),
-        };
-        self.file.write_all(&chunk)?;
+        self.file
+            .write_all(&chunk_bytes(TAG_INTERVALS, w.bytes()))?;
         self.file.flush()?;
         self.written = to;
         Ok(())
@@ -1090,58 +1046,57 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// `sample_set(30)` as the frozen v1 writer spilled it: the header
+    /// chunk, then interval chunks 0..10, 10..20 and 20..30.
+    const V1_SEGMENT: &[u8] = include_bytes!("../../../fixtures/v1/segment_sample_30.nniseg");
+
     /// The frozen v1 format cannot fix the stall: the same corruption
     /// leaves the follower waiting forever even after a later chunk
     /// lands. Pinned as a documented limitation — this test is the
     /// motivation for version 2, not a bug to fix in v1.
     #[test]
     fn v1_stalls_forever_on_a_corrupt_length_field_documented_limitation() {
-        let set = sample_set(30);
-        let path = temp_path("length-stall-v1");
-        let mut w = SegmentWriter::create_v1(&path, &set).unwrap();
-        w.append_intervals(&set.log, 0, 10).unwrap();
-        let clean = std::fs::read(&path).unwrap().len();
-        w.append_intervals(&set.log, 10, 20).unwrap();
-        w.append_intervals(&set.log, 20, 30).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = V1_SEGMENT.to_vec();
+        assert_eq!(bytes[MAGIC.len()], VERSION_V1);
+        // Where the second intervals chunk starts: past the prefix, the
+        // header chunk and the first intervals chunk.
+        let mut clean = MAGIC.len() + 1;
+        for _ in 0..2 {
+            let (_, _, next) = complete_chunk(&bytes, clean, VERSION_V1).unwrap().unwrap();
+            clean = next;
+        }
         // v1 chunk layout: tag, then the length field.
         bytes[clean + 1 + 3] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
 
-        let mut f = SegmentFollower::open(&path).with_resync(true);
-        let batch = f.poll().unwrap();
+        let mut f = SegmentFollower::open("v1-fixture").with_resync(true);
+        let batch = f.poll_bytes(&bytes).unwrap();
         assert_eq!(batch.rows().count(), 10);
-        // The third chunk is on disk and valid, but the follower cannot
+        // The third chunk is present and valid, but the follower cannot
         // see past the lying length field: every further poll is empty.
         for _ in 0..5 {
-            let again = f.poll().unwrap();
+            let again = f.poll_bytes(&bytes).unwrap();
             assert!(again.is_empty(), "v1 unexpectedly recovered");
         }
         assert_eq!(f.intervals_seen(), 10);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn v2_follower_reads_v1_files_bit_identically() {
-        let set = sample_set(12);
-        let p1 = temp_path("interop-v1");
+        let set = sample_set(30);
         let p2 = temp_path("interop-v2");
-        let mut w1 = SegmentWriter::create_v1(&p1, &set).unwrap();
         let mut w2 = SegmentWriter::create(&p2, &set).unwrap();
-        for w in [&mut w1, &mut w2] {
-            w.append_intervals(&set.log, 0, 5).unwrap();
-            w.append_intervals(&set.log, 5, 12).unwrap();
+        for (from, to) in [(0, 10), (10, 20), (20, 30)] {
+            w2.append_intervals(&set.log, from, to).unwrap();
         }
-        let mut f1 = SegmentFollower::open(&p1);
-        let mut f2 = SegmentFollower::open(&p2);
-        let b1 = f1.poll().unwrap();
-        let b2 = f2.poll().unwrap();
+        let b1 = SegmentFollower::open("v1-fixture")
+            .poll_bytes(V1_SEGMENT)
+            .unwrap();
+        let b2 = SegmentFollower::open(&p2).poll().unwrap();
         assert_eq!(b1.header().unwrap(), b2.header().unwrap());
         let rows1: Vec<_> = b1.rows().cloned().collect();
         let rows2: Vec<_> = b2.rows().cloned().collect();
         assert_eq!(rows1, rows2);
-        assert_eq!(rows1.len(), 12);
-        std::fs::remove_file(&p1).unwrap();
+        assert_eq!(rows1.len(), 30);
         std::fs::remove_file(&p2).unwrap();
     }
 

@@ -47,7 +47,8 @@ use crate::dataset::Fnv;
 pub const FRAME_VERSION: u8 = 2;
 
 /// The frozen version-1 frame format (no sync marker). Still fully
-/// readable; [`frame_bytes_v1`] still writes it for compatibility tests.
+/// readable; nothing writes it any more (the interop tests read committed
+/// v1 frames from `fixtures/v1/`).
 pub const FRAME_VERSION_V1: u8 = 1;
 
 /// The 8-byte synchronization marker that leads every v2 frame and every
@@ -255,24 +256,6 @@ pub fn frame_bytes(magic: &[u8; 7], payload: &[u8]) -> Vec<u8> {
     w.raw(magic);
     w.u8(FRAME_VERSION);
     w.raw(&SYNC_MARKER);
-    w.u64(payload.len() as u64);
-    w.raw(payload);
-    let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
-    let checksum = h.0;
-    w.u64(checksum);
-    w.into_bytes()
-}
-
-/// Serializes one frozen version-1 frame (no sync marker) — what every
-/// pre-v2 binary wrote. Kept so interop tests can generate genuine v1
-/// streams and pin that [`read_frame`] accepts them bit-identically.
-pub fn frame_bytes_v1(magic: &[u8; 7], payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.raw(magic);
-    w.u8(FRAME_VERSION_V1);
     w.u64(payload.len() as u64);
     w.raw(payload);
     let mut h = Fnv::new();
@@ -515,8 +498,9 @@ mod tests {
 
     #[test]
     fn v2_reader_accepts_v1_frames() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&frame_bytes_v1(MAGIC, b"legacy"));
+        // A frame the frozen v1 writer produced: NNITEST / b"legacy".
+        let mut stream = include_bytes!("../../../fixtures/v1/legacy_frame.bin").to_vec();
+        assert_eq!(stream[7], FRAME_VERSION_V1);
         stream.extend_from_slice(&frame_bytes(MAGIC, b"modern"));
         let mut cursor = std::io::Cursor::new(stream);
         assert_eq!(read_frame(&mut cursor, MAGIC).unwrap().unwrap(), b"legacy");

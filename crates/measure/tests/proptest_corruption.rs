@@ -11,13 +11,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nni_measure::codec::{self, CodecError};
 use nni_measure::{
-    frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, DelayStats, FrameError, MeasurementLog,
-    MeasurementSet, Provenance, SegmentFollower, SegmentItem, SegmentWriter, FRAME_VERSION,
+    frame_bytes, read_frame, read_frame_v1, DelayStats, FrameError, MeasurementLog, MeasurementSet,
+    Provenance, SegmentFollower, SegmentItem, SegmentWriter, FRAME_VERSION,
 };
 use nni_topology::{PathId, TopologyBuilder};
 use proptest::prelude::*;
 
 const MAGIC: &[u8; 7] = b"NNIPROP";
+
+/// A frame the frozen v1 writer produced (see `fixtures/v1/README.md`):
+/// `codec::encode(&sample_set(12, V1_SET_SALT))` under [`MAGIC`].
+const V1_SET_FRAME: &[u8] = include_bytes!("../../../fixtures/v1/set_frame.bin");
+const V1_SET_SALT: u64 = 0x5EED;
 
 fn sample_set(intervals: usize, salt: u64) -> MeasurementSet {
     let mut b = TopologyBuilder::new();
@@ -121,6 +126,27 @@ fn assert_rows_genuine(items: &[SegmentItem], set: &MeasurementSet) {
             }
         }
     }
+}
+
+/// Interop on the measurement wire: a frozen v1 frame carrying an encoded
+/// set decodes bit-identically through the v2 reader, and a v2 frame of
+/// the same set stops a v1 reader at the version byte with the typed
+/// `UnsupportedVersion(2)` — by construction, whatever the payload.
+#[test]
+fn set_frames_interop_across_wire_versions() {
+    let set = sample_set(12, V1_SET_SALT);
+    let payload = read_frame(&mut Cursor::new(V1_SET_FRAME), MAGIC)
+        .expect("v1 frame reads clean in the v2 reader")
+        .expect("one frame present");
+    assert_eq!(codec::decode(&payload).unwrap(), set);
+
+    let v2 = frame_bytes(MAGIC, &codec::encode(&set));
+    assert!(matches!(
+        read_frame_v1(&mut Cursor::new(&v2), MAGIC),
+        Err(FrameError::Codec(CodecError::UnsupportedVersion(
+            FRAME_VERSION
+        )))
+    ));
 }
 
 proptest! {
@@ -246,8 +272,8 @@ proptest! {
     }
 
     /// Delay-carrying sets round trip bit-identically through the v2
-    /// codec — binary and JSONL — and a single flipped bit anywhere in the
-    /// v2 stream (including inside the DELAY section) is always rejected.
+    /// codec, and a single flipped bit anywhere in the v2 stream (including
+    /// inside the DELAY section) is always rejected.
     #[test]
     fn delay_sets_round_trip_and_reject_flips(
         intervals in 1usize..20,
@@ -259,8 +285,6 @@ proptest! {
         let mut bytes = codec::encode(&set);
         prop_assert_eq!(bytes[7], 2, "delay sets encode as version 2");
         prop_assert_eq!(&codec::decode(&bytes).unwrap(), &set);
-        let text = nni_measure::jsonl::to_jsonl(&set);
-        prop_assert_eq!(&nni_measure::jsonl::from_jsonl(&text).unwrap(), &set);
         let i = at(frac, bytes.len());
         bytes[i] ^= 1 << bit;
         prop_assert!(codec::decode(&bytes).is_err());
@@ -281,31 +305,6 @@ proptest! {
         prop_assert!(matches!(
             codec::decode_v1(&codec::encode(&with_delay)),
             Err(CodecError::UnsupportedVersion(2))
-        ));
-    }
-
-    /// Interop on the measurement wire: a frozen v1 frame carrying an
-    /// encoded set decodes bit-identically through the v2 reader, and a
-    /// v2 frame stops a v1 reader at the version byte with the typed
-    /// `UnsupportedVersion(2)` — by construction, whatever the payload.
-    #[test]
-    fn set_frames_interop_across_wire_versions(
-        intervals in 1usize..20,
-        salt in 0u64..u64::MAX,
-    ) {
-        let set = sample_set(intervals, salt);
-        let encoded = codec::encode(&set);
-
-        let v1 = frame_bytes_v1(MAGIC, &encoded);
-        let payload = read_frame(&mut Cursor::new(&v1), MAGIC)
-            .expect("v1 frame reads clean in the v2 reader")
-            .expect("one frame present");
-        prop_assert_eq!(&codec::decode(&payload).unwrap(), &set);
-
-        let v2 = frame_bytes(MAGIC, &encoded);
-        prop_assert!(matches!(
-            read_frame_v1(&mut Cursor::new(&v2), MAGIC),
-            Err(FrameError::Codec(CodecError::UnsupportedVersion(FRAME_VERSION)))
         ));
     }
 

@@ -11,7 +11,8 @@
 //! * the `InferenceResult` fingerprint of `infer` over the decoded set
 //!   under the default config — inference over replayed measurements stays
 //!   stable across releases;
-//! * the JSON-lines sidecar parses to the *same* set as the binary entry.
+//! * the JSON-lines sidecar is byte-identical to `to_jsonl` of the decoded
+//!   entry — the export format is pinned as well.
 //!
 //! If an intentional codec or inference change invalidates the values, run
 //! with `NNI_PRINT_CORPUS_GOLDEN=1` and paste the printed table — but think
@@ -86,11 +87,14 @@ fn committed_corpus_replays_to_golden_fingerprints() {
             result.fingerprint(),
         ));
 
-        // The human-readable sidecar describes the same measurements.
+        // The human-readable sidecar is today's export of the same set.
         let sidecar = e.path().with_extension("jsonl");
         let text = std::fs::read_to_string(&sidecar).expect("jsonl sidecar exists");
-        let parsed = jsonl::from_jsonl(&text).expect("jsonl sidecar parses");
-        assert_eq!(parsed, set, "sidecar of {} diverged", e.path().display());
+        assert!(
+            jsonl::to_jsonl(&set) == text,
+            "the export of {} no longer matches its committed sidecar",
+            e.path().display()
+        );
     }
 
     if std::env::var("NNI_PRINT_CORPUS_GOLDEN").is_ok() {

@@ -6,12 +6,12 @@
 //!    (fused) `Experiment::run` inference — the measurement-set boundary
 //!    loses nothing the algorithm consumes.
 //! 2. **Property round trips** — randomly generated scenarios survive
-//!    binary encode→decode and JSON-lines dump→parse bit-identically
-//!    (`PartialEq` over every field, fingerprints included).
+//!    binary encode→decode bit-identically (`PartialEq` over every field,
+//!    fingerprints included).
 
 use proptest::prelude::*;
 
-use nni_measure::{codec, jsonl, MeasurementSet, Provenance};
+use nni_measure::{codec, MeasurementSet, Provenance};
 use nni_scenario::library::identity_suite;
 use nni_scenario::{infer, InferenceConfig, ScenarioGen};
 use nni_topology::PathId;
@@ -44,10 +44,6 @@ fn infer_over_decoded_corpus_matches_inline_run_on_the_identity_suite() {
                 s.name
             );
             assert_eq!(replayed.fingerprint(), fused.inference.fingerprint());
-
-            // The JSON-lines dump is equally lossless.
-            let parsed = jsonl::from_jsonl(&jsonl::to_jsonl(&set)).expect("parses");
-            assert_eq!(set, parsed, "`{}` seed {seed}: jsonl round trip", s.name);
         }
     }
 }
@@ -95,8 +91,8 @@ fn synthetic_set(gen_seed: u64, intervals: usize) -> MeasurementSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Synthetic sets over generated topologies: binary and JSON-lines
-    /// round trips are bit-identical for arbitrary shapes and counts.
+    /// Synthetic sets over generated topologies: binary round trips are
+    /// bit-identical for arbitrary shapes and counts.
     #[test]
     fn generated_sets_round_trip_bit_identically(
         seed in 0u64..1_000_000,
@@ -105,10 +101,7 @@ proptest! {
         let set = synthetic_set(seed, intervals);
         let decoded = codec::decode(&codec::encode(&set)).expect("decodes");
         prop_assert_eq!(&set, &decoded);
-        let parsed = jsonl::from_jsonl(&jsonl::to_jsonl(&set)).expect("parses");
-        prop_assert_eq!(&set, &parsed);
         prop_assert_eq!(set.fingerprint(), decoded.fingerprint());
-        prop_assert_eq!(set.fingerprint(), parsed.fingerprint());
     }
 }
 
