@@ -182,8 +182,9 @@ impl InferenceResult {
 /// (per-interval) re-identification must not re-derive on every arrival.
 ///
 /// A plan depends only on the topology and `cfg.min_pairs`; observation
-/// vectors vary per call, so [`identify_with_plan`] (full) and
-/// [`identify_scores`] (caller-supplied `y` vectors) both consume one.
+/// vectors vary per call, so [`identify`] (through an [`Observations`]
+/// source) and [`identify_scores`] (caller-supplied `y` vectors) both
+/// consume one.
 #[derive(Debug, Clone)]
 pub struct IdentifyPlan {
     slices: Vec<Slice>,
@@ -219,7 +220,7 @@ impl IdentifyPlan {
     }
 
     /// Queries `obs` for every slice's observation vector, in plan order —
-    /// the acquisition half of [`identify_with_plan`].
+    /// the acquisition half of [`identify`].
     pub fn observe(&self, obs: &impl Observations) -> Vec<Vec<f64>> {
         self.slices
             .iter()
@@ -232,18 +233,7 @@ impl IdentifyPlan {
 /// Runs Algorithm 1 against an observation source.
 pub fn identify(topology: &Topology, obs: &impl Observations, cfg: Config) -> InferenceResult {
     let plan = IdentifyPlan::new(topology, &cfg);
-    identify_with_plan(&plan, obs, cfg)
-}
-
-/// [`identify`] over a precomputed [`IdentifyPlan`] — what repeated
-/// identifications on one topology (sweeps, streaming re-clustering) call
-/// so slice enumeration happens once.
-pub fn identify_with_plan(
-    plan: &IdentifyPlan,
-    obs: &impl Observations,
-    cfg: Config,
-) -> InferenceResult {
-    identify_scores(plan, &plan.observe(obs), cfg)
+    identify_scores(&plan, &plan.observe(obs), cfg)
 }
 
 /// The decision half of Algorithm 1: per-slice estimates, unsolvability
@@ -252,11 +242,11 @@ pub fn identify_with_plan(
 /// observation vectors `ys` (one per plan slice, aligned with
 /// [`IdentifyPlan::slices`]).
 ///
-/// This is the seam the streaming subsystem re-enters on every closed
-/// interval: an incremental Algorithm 2 maintains the counts behind `ys`
-/// cheaply, and the (cheap, slice-count-sized) decision re-runs here, so
-/// every emitted verdict is the same pure function of `(ys, cfg)` that
-/// batch [`identify`] computes.
+/// This is the seam measured inference enters: the Algorithm 2 engine
+/// maintains the counts behind `ys` — folded over a whole log for batch
+/// inference, one closed interval at a time for streaming — and the
+/// (cheap, slice-count-sized) decision re-runs here, so every emitted
+/// verdict is the same pure function of `(ys, cfg)`.
 pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> InferenceResult {
     let slices = &plan.slices;
     assert_eq!(

@@ -54,8 +54,8 @@ pub mod routing;
 pub mod slice;
 
 pub use algorithm::{
-    identify, identify_scores, identify_with_plan, remove_redundant, Config, DecisionMode,
-    IdentifyPlan, InferenceResult, PairEstimate, SliceVerdict,
+    identify, identify_scores, remove_redundant, Config, DecisionMode, IdentifyPlan,
+    InferenceResult, PairEstimate, SliceVerdict,
 };
 pub use class::{ClassError, Classes};
 pub use equivalent::{EquivalentNetwork, VirtualLink, VirtualRole};

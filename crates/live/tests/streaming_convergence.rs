@@ -11,11 +11,10 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use nni_core::InferenceResult;
 use nni_measure::{interval_eval_count, MeasurementLog, MeasurementSet};
 use nni_scenario::library::{identity_suite, topology_a_scenario, ExperimentParams, Mechanism};
-use nni_scenario::{
-    infer, infer_incremental, InferenceConfig, Scenario, ScenarioGen, StreamingInference,
-};
+use nni_scenario::{infer, InferenceConfig, Scenario, ScenarioGen, StreamingInference};
 use nni_topology::PathId;
 
 /// The Algorithm 2 evaluation probe is process-global, so every test in
@@ -40,11 +39,20 @@ fn random_population() -> Vec<Scenario> {
     pop
 }
 
+/// The final verdict of feeding `set`'s log one closed interval at a time.
+fn stream_per_interval(set: &MeasurementSet, cfg: &InferenceConfig) -> InferenceResult {
+    let mut live = StreamingInference::new(&set.topology, set.provenance.seed, cfg);
+    for t in 1..=set.log.interval_count() {
+        live.advance(&set.log, t);
+    }
+    live.verdict()
+}
+
 fn assert_streams_to_batch(scenario: &Scenario) {
     let set = scenario.compile().simulate();
     let cfg = InferenceConfig::of(scenario);
     let batch = infer(&set, &cfg);
-    let streamed = infer_incremental(&set, &cfg);
+    let streamed = stream_per_interval(&set, &cfg);
     assert_eq!(
         streamed.fingerprint(),
         batch.fingerprint(),

@@ -5,12 +5,16 @@
 //!
 //! * [`record`] — the raw per-interval, per-path send/loss log produced by
 //!   the emulator (or any measurement platform).
-//! * [`normalize`] — Algorithm 2: per-interval discounting of every path's
-//!   packets to the normalization group's common budget (hypergeometric
-//!   retention draw), loss-threshold congestion-free indicators, and pathset
-//!   performance numbers `y_Θ = -ln P(Θ congestion-free)`.
+//! * [`normalize`] — Algorithm 2's per-interval kernel: discounting of every
+//!   path's packets to the normalization group's common budget
+//!   (hypergeometric retention draw), loss-threshold congestion-free
+//!   indicators, and pathset performance numbers
+//!   `y_Θ = -ln P(Θ congestion-free)`; plus the whole-log reference model
+//!   ([`group_indicators`] + [`pathset_cf_counts`]) the engine is tested
+//!   against.
 //! * [`observer`] — [`MeasuredObservations`], the measured implementation of
-//!   `nni_core::Observations` that Algorithm 1 consumes.
+//!   `nni_core::Observations`: each query folds the whole log through a
+//!   one-slice [`SlidingCounts`], with no cache.
 //! * [`dataset`] — the acquisition/inference seam: [`MeasurementSet`] (the
 //!   serializable bundle inference consumes), the [`MeasurementSource`]
 //!   trait, and the [`MeasurementCache`].
@@ -21,9 +25,10 @@
 //!   [`CorpusEntry`]).
 //! * [`interval`] — the one measurement-interval binning rule, shared with
 //!   the emulator's cached interval index.
-//! * [`stream`] — streaming acquisition: [`StreamingLog`] (closed-interval
-//!   watermark) and [`SlidingCounts`] (incremental Algorithm 2 counters,
-//!   optional sliding window).
+//! * [`stream`] — [`StreamingLog`] (closed-interval watermark) and
+//!   [`SlidingCounts`], the one Algorithm 2 engine: per-pathset counters
+//!   that batch inference folds over a whole log and streaming folds one
+//!   closed interval at a time (optional sliding window).
 //! * [`segment`] — the append-friendly `.nniseg` on-disk segment format
 //!   ([`SegmentWriter`]/[`SegmentFollower`]): a codec-v1 header chunk plus
 //!   checksummed interval chunks, readable while being written, with
@@ -63,8 +68,8 @@ pub use dataset::{
     SourceError,
 };
 pub use normalize::{
-    delay_baselines, group_indicators, hypergeometric, interval_eval_count, interval_indicators,
-    pathset_cf_counts, perf_from_counts, NormalizeConfig,
+    group_indicators, hypergeometric, interval_eval_count, pathset_cf_counts, perf_from_counts,
+    NormalizeConfig,
 };
 pub use observer::MeasuredObservations;
 pub use record::{DelayStats, MeasurementLog, MergeError};
@@ -74,7 +79,7 @@ pub use segment::{
     SegmentWriter, MAX_CHUNK_BYTES, SEGMENT_EXT, VERSION as SEGMENT_VERSION,
     VERSION_V1 as SEGMENT_VERSION_V1,
 };
-pub use stream::{PathsetHandle, SlidingCounts, StreamError, StreamingLog};
+pub use stream::{SlidingCounts, StreamError, StreamingLog};
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
     frame_bytes, read_frame, read_frame_v1, write_frame, FrameError, WireReader, WireWriter,

@@ -15,6 +15,12 @@
 //! from flows of different sizes, but it produces loss *events* on all of
 //! them in the same intervals; comparing similarly sized aggregates under a
 //! frequency metric keeps those observations consistent (§6.5).
+//!
+//! [`SlidingCounts`](crate::SlidingCounts) is the one engine that runs
+//! these steps for inference, batch and streaming alike. The whole-log
+//! [`group_indicators`] + [`pathset_cf_counts`] pair below is the reference
+//! model of the same computation, kept for the tests that check the engine
+//! against it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,7 +37,7 @@ use nni_topology::PathId;
 /// path does asymptotically less work, independent of wall-clock noise.
 static INTERVAL_EVALS: AtomicU64 = AtomicU64::new(0);
 
-/// Total [`interval_indicators`] evaluations since process start
+/// Total per-(group, interval) indicator evaluations since process start
 /// (monotonic; probe by delta).
 pub fn interval_eval_count() -> u64 {
     INTERVAL_EVALS.load(Ordering::Relaxed)
@@ -94,13 +100,6 @@ impl Default for NormalizeConfig {
     }
 }
 
-/// The per-path delay baselines of a group (min per-interval p50, see
-/// [`MeasurementLog::delay_baseline`]), in group order. All-`None` when the
-/// log has no delay grid.
-pub fn delay_baselines(log: &MeasurementLog, group: &[PathId]) -> Vec<Option<f64>> {
-    group.iter().map(|&p| log.delay_baseline(p)).collect()
-}
-
 /// Per-interval congestion-free indicators `S[t][{p}]` for each path of a
 /// normalization group, after discounting to the group's common packet
 /// budget.
@@ -113,13 +112,12 @@ pub fn group_indicators(
     cfg: NormalizeConfig,
 ) -> Vec<Vec<Option<bool>>> {
     let t_max = log.interval_count();
-    // Baselines are whole-log statistics: computed once per group pass
-    // instead of once per interval column.
-    let baselines = delay_baselines(log, group);
+    let baselines: Vec<Option<f64>> = group.iter().map(|&p| log.delay_baseline(p)).collect();
     let mut out = vec![Vec::with_capacity(t_max); group.len()];
+    let mut col = vec![None; group.len()];
     for t in 0..t_max {
-        let col = indicators_with_baselines(log, group, t, cfg, &baselines);
-        for (row, s) in out.iter_mut().zip(col) {
+        indicator_column(log, group, t, cfg, &baselines, &mut col);
+        for (row, &s) in out.iter_mut().zip(&col) {
             row.push(s);
         }
     }
@@ -127,49 +125,41 @@ pub fn group_indicators(
 }
 
 /// One interval's congestion-free indicators for a normalization group —
-/// the column `S[t][·]` of [`group_indicators`], computable the moment
-/// interval `t` closes.
+/// the column `S[t][·]` of [`group_indicators`] — written into `col` (one
+/// cell per group path). `baselines` are the group paths'
+/// [`MeasurementLog::delay_baseline`]s, read only when `cfg.delay` is set.
 ///
 /// The discounting draw is seeded per `(seed, interval, path)`, so the
 /// indicator of a closed interval never depends on which intervals exist
 /// around it: computing columns one at a time as a stream closes them
 /// yields bit-identical indicators to a batch pass over the finished log.
-pub fn interval_indicators(
-    log: &MeasurementLog,
-    group: &[PathId],
-    t: usize,
-    cfg: NormalizeConfig,
-) -> Vec<Option<bool>> {
-    let baselines = delay_baselines(log, group);
-    indicators_with_baselines(log, group, t, cfg, &baselines)
-}
-
-fn indicators_with_baselines(
+pub(crate) fn indicator_column(
     log: &MeasurementLog,
     group: &[PathId],
     t: usize,
     cfg: NormalizeConfig,
     baselines: &[Option<f64>],
-) -> Vec<Option<bool>> {
+    col: &mut [Option<bool>],
+) {
     INTERVAL_EVALS.fetch_add(1, Ordering::Relaxed);
-    let mut col = vec![None; group.len()];
+    col.fill(None);
     let m = group.iter().map(|&p| log.sent(t, p)).min().unwrap_or(0);
     if m == 0 {
-        return col;
+        return;
     }
     for (gi, &p) in group.iter().enumerate() {
         let sent = log.sent(t, p);
         let lost = log.lost(t, p).min(sent);
-        // Deterministic per (seed, interval, path): independent of the
-        // order in which slices query the oracle.
-        let mut rng = StdRng::seed_from_u64(
-            cfg.seed
-                ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (p.index() as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-        );
         let retained_lost = if sent == m {
             lost
         } else {
+            // Deterministic per (seed, interval, path): independent of the
+            // order in which slices query the oracle.
+            let mut rng = StdRng::seed_from_u64(
+                cfg.seed
+                    ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (p.index() as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+            );
             hypergeometric(&mut rng, sent, lost, m)
         };
         // Algorithm 2 line 11: congestion-free iff lost fraction below
@@ -185,7 +175,6 @@ fn indicators_with_baselines(
         }
         col[gi] = Some(cf);
     }
-    col
 }
 
 /// The congestion-free probability of a *pathset* given the group
@@ -328,24 +317,29 @@ mod tests {
         assert!((y + (1.0f64 / 3.0).ln()).abs() < 1e-12);
     }
 
-    #[test]
-    fn joint_feature_flags_delay_inflation_without_loss() {
+    /// Two lossless paths over four intervals; p1's delay balloons from
+    /// 10 ms to 2 s after interval 0 while p0 stays flat.
+    fn delay_inflation_log() -> MeasurementLog {
         use crate::record::DelayStats;
         let mut log = MeasurementLog::new(2, 0.1);
-        let (p0, p1) = (PathId(0), PathId(1));
         let ms = |k: u64| Some(DelayStats::from_sorted_ns(&[k * 1_000_000]).unwrap());
         for t in 0..4 {
-            log.record_sent(t, p0, 100);
-            log.record_sent(t, p1, 100);
+            log.record_sent(t, PathId(0), 100);
+            log.record_sent(t, PathId(1), 100);
         }
-        // p1's delay balloons from 10 ms to 2 s after interval 0; p0 stays
-        // flat. Nobody loses a packet.
         log.set_delay(vec![
             vec![ms(10), ms(10)],
             vec![ms(10), ms(2_000)],
             vec![ms(11), ms(2_100)],
             vec![ms(10), ms(2_200)],
         ]);
+        log
+    }
+
+    #[test]
+    fn joint_feature_flags_delay_inflation_without_loss() {
+        let log = delay_inflation_log();
+        let (p0, p1) = (PathId(0), PathId(1));
         let loss_only = NormalizeConfig::default();
         let ind = group_indicators(&log, &[p0, p1], loss_only);
         assert!(ind.iter().flatten().all(|s| *s == Some(true)));
@@ -360,6 +354,33 @@ mod tests {
             ind[1],
             vec![Some(true), Some(false), Some(false), Some(false)]
         );
+    }
+
+    #[test]
+    fn joint_feature_engine_matches_the_reference() {
+        use crate::SlidingCounts;
+        use nni_topology::PathSet;
+        let log = delay_inflation_log();
+        let (p0, p1) = (PathId(0), PathId(1));
+        let group = [p0, p1];
+        let sets = [
+            PathSet::single(p0),
+            PathSet::single(p1),
+            PathSet::pair(p0, p1),
+        ];
+        let joint = NormalizeConfig {
+            delay: Some(nni_core::DelayFeature::default()),
+            ..NormalizeConfig::default()
+        };
+        let mut engine = SlidingCounts::new(joint, None, [(&group[..], &sets[..])]);
+        engine.advance(&log, log.interval_count());
+        let ind = group_indicators(&log, &group, joint);
+        let y = |rows: &[usize]| {
+            let (cf, informative) = pathset_cf_counts(&ind, rows);
+            perf_from_counts(cf, informative)
+        };
+        assert_eq!(engine.ys(), vec![vec![y(&[0]), y(&[1]), y(&[0, 1])]]);
+        assert!(engine.ys()[0][1] > 1.0, "p1's inflation shows");
     }
 
     #[test]

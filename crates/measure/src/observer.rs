@@ -2,91 +2,38 @@
 //!
 //! Bridges a [`MeasurementLog`] to Algorithm 1: every slice queries the
 //! performance numbers of its pathsets in the normalization context of
-//! `Paths(τ)`; this type runs Algorithm 2 on demand and caches per-group
-//! indicator series (the discounting draw is deterministic per
-//! `(seed, interval, path)`, so caching never changes results).
+//! `Paths(τ)`. Each query runs Algorithm 2 through a one-slice
+//! [`SlidingCounts`] folded over the whole log; nothing is cached between
+//! queries.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use crate::normalize::{group_indicators, pathset_cf_counts, perf_from_counts, NormalizeConfig};
+use crate::normalize::NormalizeConfig;
 use crate::record::MeasurementLog;
+use crate::stream::SlidingCounts;
 use nni_core::Observations;
 use nni_topology::{PathId, PathSet};
-
-/// Per-path indicator rows, as produced by [`group_indicators`].
-type IndicatorRows = Vec<Vec<Option<bool>>>;
 
 /// Measured observation source.
 pub struct MeasuredObservations<'a> {
     log: &'a MeasurementLog,
     cfg: NormalizeConfig,
-    /// Cache: normalization group -> per-path indicator rows.
-    cache: RefCell<HashMap<Vec<PathId>, IndicatorRows>>,
 }
 
 impl<'a> MeasuredObservations<'a> {
     /// Wraps a measurement log.
     pub fn new(log: &'a MeasurementLog, cfg: NormalizeConfig) -> MeasuredObservations<'a> {
-        MeasuredObservations {
-            log,
-            cfg,
-            cache: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> NormalizeConfig {
-        self.cfg
-    }
-
-    fn with_indicators<R>(&self, group: &[PathId], f: impl FnOnce(&[Vec<Option<bool>>]) -> R) -> R {
-        let mut key: Vec<PathId> = group.to_vec();
-        key.sort();
-        key.dedup();
-        let mut cache = self.cache.borrow_mut();
-        let ind = cache
-            .entry(key.clone())
-            .or_insert_with(|| group_indicators(self.log, &key, self.cfg));
-        f(ind)
-    }
-
-    /// Congestion-free probability of a pathset under the group
-    /// normalization (exposed for the experiment reports).
-    pub fn pathset_cf_probability(&self, group: &[PathId], pathset: &PathSet) -> f64 {
-        self.with_indicators(group, |ind| {
-            let rows = Self::rows_of(group, pathset);
-            let (cf, total) = pathset_cf_counts(ind, &rows);
-            if total == 0 {
-                1.0
-            } else {
-                cf as f64 / total as f64
-            }
-        })
-    }
-
-    fn rows_of(group: &[PathId], pathset: &PathSet) -> Vec<usize> {
-        let mut key: Vec<PathId> = group.to_vec();
-        key.sort();
-        key.dedup();
-        pathset
-            .paths()
-            .iter()
-            .map(|p| {
-                key.binary_search(p)
-                    .expect("pathset members must belong to the normalization group")
-            })
-            .collect()
+        MeasuredObservations { log, cfg }
     }
 }
 
 impl Observations for MeasuredObservations<'_> {
     fn pathset_perf(&self, group: &[PathId], pathset: &PathSet) -> f64 {
-        self.with_indicators(group, |ind| {
-            let rows = Self::rows_of(group, pathset);
-            let (cf, total) = pathset_cf_counts(ind, &rows);
-            perf_from_counts(cf, total)
-        })
+        self.observe_all(group, std::slice::from_ref(pathset))[0]
+    }
+
+    fn observe_all(&self, group: &[PathId], pathsets: &[PathSet]) -> Vec<f64> {
+        let mut counts = SlidingCounts::new(self.cfg, None, [(group, pathsets)]);
+        counts.advance(self.log, self.log.interval_count());
+        counts.ys().pop().expect("one slice")
     }
 }
 
@@ -137,21 +84,17 @@ mod tests {
     }
 
     #[test]
-    fn cf_probability_reported() {
+    fn observe_all_matches_pathset_perf() {
         let log = correlated_log();
         let obs = MeasuredObservations::new(&log, NormalizeConfig::default());
-        let group = [PathId(0), PathId(2)];
-        let p = obs.pathset_cf_probability(&group, &PathSet::single(PathId(0)));
-        assert!((p - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn caching_is_transparent() {
-        let log = correlated_log();
-        let obs = MeasuredObservations::new(&log, NormalizeConfig::default());
-        let group = [PathId(0), PathId(1)];
-        let a = obs.pathset_perf(&group, &PathSet::single(PathId(0)));
-        let b = obs.pathset_perf(&group, &PathSet::single(PathId(0)));
-        assert_eq!(a, b);
+        let group = [PathId(2), PathId(0)];
+        let sets = [
+            PathSet::single(PathId(0)),
+            PathSet::single(PathId(2)),
+            PathSet::pair(PathId(0), PathId(2)),
+        ];
+        let each: Vec<f64> = sets.iter().map(|s| obs.pathset_perf(&group, s)).collect();
+        assert_eq!(obs.observe_all(&group, &sets), each);
+        assert!((each[0] + 0.75f64.ln()).abs() < 1e-9);
     }
 }

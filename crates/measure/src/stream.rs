@@ -1,41 +1,33 @@
-//! Streaming measurement state: interval-at-a-time acquisition
-//! ([`StreamingLog`]) and the incremental half of Algorithm 2
-//! ([`SlidingCounts`]).
+//! Streaming measurement state and the one Algorithm 2 engine:
+//! interval-at-a-time acquisition ([`StreamingLog`]) and the per-pathset
+//! counters every inference path folds through ([`SlidingCounts`]).
 //!
-//! The batch pipeline recomputes every per-interval indicator each time it
-//! infers; over a growing log of `T` intervals that is `O(T²)` indicator
-//! work. Streaming exploits two determinisms instead:
+//! Batch inference folds a whole log in one call; streaming folds each
+//! closed interval as it arrives. Both give the same numbers because of
+//! two determinisms:
 //!
 //! * the discounting draw is seeded per `(seed, interval, path)` — a closed
-//!   interval's indicator column never changes as later intervals arrive
-//!   (see [`interval_indicators`]);
+//!   interval's indicator column never changes as later intervals arrive;
 //! * the performance number is a pure function of two *integers* — the
 //!   congestion-free and informative interval counts
 //!   ([`perf_from_counts`]).
 //!
 //! So [`SlidingCounts`] folds each closed interval into per-pathset integer
 //! counters exactly once, and every verdict derived from those counters is
-//! bit-identical to batch inference over the same closed prefix. An
+//! bit-identical to a whole-log pass over the same closed prefix. An
 //! optional sliding window bounds the counters to the last `W` intervals by
 //! remembering one 2-bit outcome per interval per pathset.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::ops::Range;
 
-use crate::normalize::{interval_indicators, perf_from_counts, NormalizeConfig};
+use crate::normalize::{indicator_column, perf_from_counts, NormalizeConfig};
 use crate::record::MeasurementLog;
 use nni_topology::{PathId, PathSet};
 
 /// Why a streaming append was refused.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
-    /// A record landed in an interval that was already closed — its
-    /// indicator column has been consumed, so the count must not change.
-    IntervalClosed {
-        /// The offending interval.
-        t: usize,
-        /// Number of closed intervals (everything below is frozen).
-        closed: usize,
-    },
     /// An appended interval row had the wrong number of paths.
     PathCountMismatch {
         /// The log's path count.
@@ -48,9 +40,6 @@ pub enum StreamError {
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamError::IntervalClosed { t, closed } => {
-                write!(f, "interval {t} is closed (watermark {closed})")
-            }
             StreamError::PathCountMismatch { ours, theirs } => {
                 write!(f, "path count mismatch: log has {ours}, row has {theirs}")
             }
@@ -61,13 +50,9 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// A [`MeasurementLog`] with a close watermark: intervals below `closed()`
-/// are frozen (their Algorithm 2 columns may have been consumed), intervals
-/// at or above it still accumulate records.
+/// are frozen (their Algorithm 2 columns may have been consumed).
 ///
-/// Producers either record timestamped packets into open intervals
-/// ([`record_sent_at`](StreamingLog::record_sent_at)) and close them as the
-/// clock passes their boundary ([`close_through`](StreamingLog::close_through)),
-/// or append whole pre-closed interval rows
+/// Producers append whole pre-closed interval rows
 /// ([`append_interval`](StreamingLog::append_interval)) — the shape a
 /// segment tail delivers.
 #[derive(Debug, Clone)]
@@ -106,24 +91,6 @@ impl StreamingLog {
         self.closed
     }
 
-    /// Records `n` packets sent on `path` at time `time_s`, binning with
-    /// the shared [`crate::interval`] rule. Refused once the interval is
-    /// closed.
-    pub fn record_sent_at(&mut self, time_s: f64, path: PathId, n: u64) -> Result<(), StreamError> {
-        let t = self.log.interval_of(time_s);
-        self.check_open(t)?;
-        self.log.record_sent(t, path, n);
-        Ok(())
-    }
-
-    /// Records `n` lost packets on `path` at time `time_s`.
-    pub fn record_lost_at(&mut self, time_s: f64, path: PathId, n: u64) -> Result<(), StreamError> {
-        let t = self.log.interval_of(time_s);
-        self.check_open(t)?;
-        self.log.record_lost(t, path, n);
-        Ok(())
-    }
-
     /// Appends one already-closed interval: `sent[p]` / `lost[p]` per path.
     /// The row lands immediately below the watermark; any open records in
     /// that interval slot must not exist (the slot is created by the
@@ -157,46 +124,10 @@ impl StreamingLog {
         Ok(t)
     }
 
-    /// Closes every interval strictly before the one containing `time_s`
-    /// (a packet stamped `time_s` proves those intervals are over). Returns
-    /// how many intervals were newly closed.
-    pub fn close_through(&mut self, time_s: f64) -> usize {
-        let boundary = self.log.interval_of(time_s);
-        if boundary <= self.closed {
-            return 0;
-        }
-        // Materialize silent intervals so consumers can read them.
-        if self.log.interval_count() < boundary {
-            self.log.record_sent(boundary - 1, PathId(0), 0);
-        }
-        let newly = boundary - self.closed;
-        self.closed = boundary;
-        newly
-    }
-
     /// Closes everything currently recorded (end of stream).
-    pub fn close_all(&mut self) -> usize {
-        let newly = self.log.interval_count().saturating_sub(self.closed);
+    pub fn close_all(&mut self) {
         self.closed = self.log.interval_count();
-        newly
     }
-
-    fn check_open(&self, t: usize) -> Result<(), StreamError> {
-        if t < self.closed {
-            return Err(StreamError::IntervalClosed {
-                t,
-                closed: self.closed,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Opaque handle to a registered pathset (group index + set index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathsetHandle {
-    group: usize,
-    set: usize,
 }
 
 /// Per-interval outcome of a pathset, packed for the window ring.
@@ -206,67 +137,106 @@ const OUT_CF: u8 = 2;
 
 #[derive(Debug, Clone)]
 struct SetState {
-    /// Member rows into the group's (sorted, deduplicated) path list.
-    rows: Vec<usize>,
+    /// This pathset's member rows: a range of the group's `members`.
+    members: Range<usize>,
     cf: usize,
     informative: usize,
-    /// Per-interval outcomes, kept only in windowed mode (eviction needs
-    /// to know what each expiring interval contributed).
-    history: VecDeque<u8>,
 }
 
 #[derive(Debug, Clone)]
 struct GroupState {
-    /// Sorted, deduplicated — the same canonical key
-    /// `MeasuredObservations` caches under, so the discounting draws match.
+    /// Sorted, deduplicated: identical groups share one state, and the
+    /// discounting draws depend only on the members, not their order.
     paths: Vec<PathId>,
+    /// Every pathset's member rows into `paths`, concatenated.
+    members: Vec<usize>,
     sets: Vec<SetState>,
+    /// Windowed mode only: the outcomes of the last `W` intervals, one row
+    /// of `sets.len()` per slot `t % W` (eviction needs to know what each
+    /// expiring interval contributed).
+    ring: Vec<u8>,
 }
 
-/// The incremental half of Algorithm 2: per-pathset congestion-free and
-/// informative interval counters, folded forward one closed interval at a
-/// time.
+/// Algorithm 2 as per-pathset congestion-free and informative interval
+/// counters — the one engine behind batch inference,
+/// [`MeasuredObservations`](crate::MeasuredObservations) and streaming.
 ///
-/// Register every normalization group and pathset the caller will query,
-/// then [`advance`](SlidingCounts::advance) over closed intervals as they
-/// arrive; [`perf`](SlidingCounts::perf) is at all times exactly
-/// [`perf_from_counts`] of the accumulated integers — bit-identical to a
-/// batch pass over the same prefix (unwindowed), or over the last `W`
-/// intervals (windowed).
+/// Construction takes every slice's normalization group and pathsets;
+/// [`advance`](SlidingCounts::advance) folds closed intervals into the
+/// counters (a batch caller folds the whole log in one call, a stream one
+/// interval at a time), and [`ys`](SlidingCounts::ys) is at all times
+/// [`perf_from_counts`] of the accumulated integers — bit-identical to the
+/// reference model ([`group_indicators`](crate::group_indicators) +
+/// [`pathset_cf_counts`](crate::pathset_cf_counts)) over the consumed
+/// prefix (unwindowed), or over its last `W` intervals (windowed).
 #[derive(Debug, Clone)]
 pub struct SlidingCounts {
     cfg: NormalizeConfig,
     window: Option<usize>,
     groups: Vec<GroupState>,
-    index: HashMap<Vec<PathId>, usize>,
+    /// Per slice: its group and the range of its pathsets in that group's
+    /// `sets` — the layout [`ys`](SlidingCounts::ys) returns.
+    slices: Vec<(usize, Range<usize>)>,
     consumed: usize,
 }
 
 impl SlidingCounts {
-    /// Unwindowed counts: counters cover every consumed interval, so the
-    /// derived verdict equals batch inference over the full closed prefix.
-    pub fn new(cfg: NormalizeConfig) -> SlidingCounts {
+    /// Counters for `slices`, each a normalization group with the pathsets
+    /// measured in its context. Identical groups (as path sets) are
+    /// evaluated once per interval. With a `window`, the counters cover
+    /// only the last `window` consumed intervals.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero window, an empty pathset, or a pathset member
+    /// outside its group.
+    pub fn new<'a>(
+        cfg: NormalizeConfig,
+        window: Option<usize>,
+        slices: impl IntoIterator<Item = (&'a [PathId], &'a [PathSet])>,
+    ) -> SlidingCounts {
+        assert_ne!(window, Some(0), "window must be non-empty");
+        let mut index: HashMap<Vec<PathId>, usize> = HashMap::new();
+        let mut groups: Vec<GroupState> = Vec::new();
+        let mut layout = Vec::new();
+        for (group, pathsets) in slices {
+            let mut paths = group.to_vec();
+            paths.sort();
+            paths.dedup();
+            let gid = *index.entry(paths).or_insert_with_key(|paths| {
+                groups.push(GroupState {
+                    paths: paths.clone(),
+                    members: Vec::new(),
+                    sets: Vec::new(),
+                    ring: Vec::new(),
+                });
+                groups.len() - 1
+            });
+            let g = &mut groups[gid];
+            let start = g.sets.len();
+            for pathset in pathsets {
+                assert!(!pathset.is_empty(), "pathsets are non-empty");
+                let from = g.members.len();
+                g.members.extend(pathset.paths().iter().map(|p| {
+                    g.paths
+                        .binary_search(p)
+                        .expect("pathset members must belong to the normalization group")
+                }));
+                g.sets.push(SetState {
+                    members: from..g.members.len(),
+                    cf: 0,
+                    informative: 0,
+                });
+            }
+            layout.push((gid, start..g.sets.len()));
+        }
         SlidingCounts {
             cfg,
-            window: None,
-            groups: Vec::new(),
-            index: HashMap::new(),
+            window,
+            groups,
+            slices: layout,
             consumed: 0,
         }
-    }
-
-    /// Sliding-window counts over the last `window` intervals.
-    pub fn with_window(cfg: NormalizeConfig, window: usize) -> SlidingCounts {
-        assert!(window > 0, "window must be non-empty");
-        SlidingCounts {
-            window: Some(window),
-            ..SlidingCounts::new(cfg)
-        }
-    }
-
-    /// The active window, if any.
-    pub fn window(&self) -> Option<usize> {
-        self.window
     }
 
     /// Intervals consumed so far.
@@ -274,75 +244,59 @@ impl SlidingCounts {
         self.consumed
     }
 
-    /// Registers a normalization group (deduplicated by canonical path
-    /// list) and returns its id for pathset registration.
-    pub fn register_group(&mut self, group: &[PathId]) -> usize {
-        let mut paths = group.to_vec();
-        paths.sort();
-        paths.dedup();
-        if let Some(&id) = self.index.get(&paths) {
-            return id;
-        }
-        assert_eq!(self.consumed, 0, "register groups before advancing");
-        let id = self.groups.len();
-        self.index.insert(paths.clone(), id);
-        self.groups.push(GroupState {
-            paths,
-            sets: Vec::new(),
-        });
-        id
-    }
-
-    /// Registers a pathset under a group; all members must belong to the
-    /// group.
-    pub fn register_pathset(&mut self, group: usize, pathset: &PathSet) -> PathsetHandle {
-        assert_eq!(self.consumed, 0, "register pathsets before advancing");
-        let g = &mut self.groups[group];
-        let rows: Vec<usize> = pathset
-            .paths()
-            .iter()
-            .map(|p| {
-                g.paths
-                    .binary_search(p)
-                    .expect("pathset members must belong to the normalization group")
-            })
-            .collect();
-        assert!(!rows.is_empty(), "pathsets are non-empty");
-        let set = g.sets.len();
-        g.sets.push(SetState {
-            rows,
-            cf: 0,
-            informative: 0,
-            history: VecDeque::new(),
-        });
-        PathsetHandle { group, set }
-    }
-
     /// Folds closed intervals `consumed..through` of `log` into the
-    /// counters. Each interval is evaluated once per registered group —
-    /// the incremental work unit the speedup gate counts.
+    /// counters. Each interval is evaluated once per distinct group — the
+    /// work unit [`interval_eval_count`](crate::interval_eval_count)
+    /// counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the recorded log or below the consumed prefix. With a
+    /// delay feature (`cfg.delay`), also panics unless this is one advance
+    /// from 0 to `log.interval_count()`: the delay baselines are whole-log
+    /// statistics, so a prefix fold would judge inflation against a
+    /// different baseline than the final log's.
     pub fn advance(&mut self, log: &MeasurementLog, through: usize) {
         assert!(
             through <= log.interval_count(),
             "cannot advance past the recorded log"
         );
         assert!(through >= self.consumed, "the closed prefix only grows");
-        for t in self.consumed..through {
-            for g in &mut self.groups {
-                let col = interval_indicators(log, &g.paths, t, self.cfg);
-                for s in &mut g.sets {
-                    let states: Option<Vec<bool>> = s.rows.iter().map(|&r| col[r]).collect();
-                    let outcome = match states {
-                        None => OUT_UNINFORMATIVE,
-                        Some(v) if v.iter().all(|&b| b) => OUT_CF,
-                        Some(_) => OUT_CONGESTED,
-                    };
-                    s.apply(outcome);
-                    if let Some(w) = self.window {
-                        s.history.push_back(outcome);
-                        while s.history.len() > w {
-                            let old = s.history.pop_front().expect("non-empty history");
-                            s.retract(old);
+        if self.cfg.delay.is_some() {
+            assert!(
+                self.consumed == 0 && through == log.interval_count(),
+                "a delay feature needs one advance over the whole log (its baselines are whole-log statistics)"
+            );
+        }
+        let width = self.groups.iter().map(|g| g.paths.len()).max();
+        let mut col = vec![None; width.unwrap_or(0)];
+        let mut baselines = Vec::new();
+        for g in &mut self.groups {
+            if self.cfg.delay.is_some() {
+                baselines = g.paths.iter().map(|&p| log.delay_baseline(p)).collect();
+            }
+            let col = &mut col[..g.paths.len()];
+            let n = g.sets.len();
+            for t in self.consumed..through {
+                indicator_column(log, &g.paths, t, self.cfg, &baselines, col);
+                // The window's ring slot for `t`; it holds interval `t - W`
+                // once `t >= W`, and grows only while the window fills.
+                let mut slot = self.window.map(|w| {
+                    let base = (t % w) * n;
+                    if g.ring.len() < base + n {
+                        g.ring.resize(base + n, OUT_UNINFORMATIVE);
+                    }
+                    (t >= w, &mut g.ring[base..base + n])
+                });
+                for (i, s) in g.sets.iter_mut().enumerate() {
+                    let out = outcome(col, &g.members[s.members.clone()]);
+                    s.cf += usize::from(out == OUT_CF);
+                    s.informative += usize::from(out != OUT_UNINFORMATIVE);
+                    if let Some((evict, row)) = &mut slot {
+                        let old = std::mem::replace(&mut row[i], out);
+                        if *evict {
+                            s.cf -= usize::from(old == OUT_CF);
+                            s.informative -= usize::from(old != OUT_UNINFORMATIVE);
                         }
                     }
                 }
@@ -351,18 +305,19 @@ impl SlidingCounts {
         self.consumed = through;
     }
 
-    /// Congestion-free / informative counts of a pathset (over the window,
-    /// or everything consumed).
-    pub fn counts(&self, h: PathsetHandle) -> (usize, usize) {
-        let s = &self.groups[h.group].sets[h.set];
-        (s.cf, s.informative)
-    }
-
-    /// The performance number `y = -ln P(congestion-free)` of a pathset —
-    /// exactly [`perf_from_counts`] over [`counts`](SlidingCounts::counts).
-    pub fn perf(&self, h: PathsetHandle) -> f64 {
-        let (cf, informative) = self.counts(h);
-        perf_from_counts(cf, informative)
+    /// The performance numbers `y = -ln P(congestion-free)` of every
+    /// pathset, per slice in construction order — the layout
+    /// `nni_core::identify_scores` takes.
+    pub fn ys(&self) -> Vec<Vec<f64>> {
+        self.slices
+            .iter()
+            .map(|(g, sets)| {
+                self.groups[*g].sets[sets.clone()]
+                    .iter()
+                    .map(|s| perf_from_counts(s.cf, s.informative))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Forgets every consumed interval but keeps the registered structure —
@@ -375,30 +330,24 @@ impl SlidingCounts {
             for s in &mut g.sets {
                 s.cf = 0;
                 s.informative = 0;
-                s.history.clear();
             }
         }
     }
 }
 
-impl SetState {
-    fn apply(&mut self, outcome: u8) {
-        if outcome != OUT_UNINFORMATIVE {
-            self.informative += 1;
-        }
-        if outcome == OUT_CF {
-            self.cf += 1;
-        }
-    }
-
-    fn retract(&mut self, outcome: u8) {
-        if outcome != OUT_UNINFORMATIVE {
-            self.informative -= 1;
-        }
-        if outcome == OUT_CF {
-            self.cf -= 1;
+/// A pathset's outcome in one interval's indicator column: uninformative
+/// when any member carries no information, congestion-free when every
+/// member is, congested otherwise.
+fn outcome(col: &[Option<bool>], rows: &[usize]) -> u8 {
+    let mut out = OUT_CF;
+    for &r in rows {
+        match col[r] {
+            None => return OUT_UNINFORMATIVE,
+            Some(false) => out = OUT_CONGESTED,
+            Some(true) => {}
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -428,6 +377,14 @@ mod tests {
         log
     }
 
+    /// The reference model's `y` for the pathset at `rows` over intervals
+    /// `lo..hi` of the group indicators `ind`.
+    fn reference_y(ind: &[Vec<Option<bool>>], rows: &[usize], lo: usize, hi: usize) -> f64 {
+        let cut: Vec<Vec<Option<bool>>> = ind.iter().map(|row| row[lo..hi].to_vec()).collect();
+        let (cf, informative) = pathset_cf_counts(&cut, rows);
+        perf_from_counts(cf, informative)
+    }
+
     #[test]
     fn incremental_counts_match_batch() {
         let log = lossy_log(40);
@@ -438,27 +395,18 @@ mod tests {
             PathSet::pair(PathId(0), PathId(1)),
             PathSet::new(vec![PathId(0), PathId(1), PathId(2)]),
         ];
-
-        let mut inc = SlidingCounts::new(cfg);
-        let gid = inc.register_group(&group);
-        let handles: Vec<PathsetHandle> =
-            sets.iter().map(|s| inc.register_pathset(gid, s)).collect();
+        let mut inc = SlidingCounts::new(cfg, None, [(&group[..], &sets[..])]);
 
         let batch_ind = group_indicators(&log, &group, cfg);
-        // Advance one interval at a time; at every prefix the counts match
-        // a batch recount of that prefix.
+        // Advance one interval at a time; at every prefix the numbers
+        // match a batch recount of that prefix.
         for through in 0..=log.interval_count() {
             inc.advance(&log, through);
-            for (set, &h) in sets.iter().zip(&handles) {
-                let rows: Vec<usize> = set.paths().iter().map(|p| p.index()).collect();
-                let truncated: Vec<Vec<Option<bool>>> = batch_ind
-                    .iter()
-                    .map(|row| row[..through].to_vec())
-                    .collect();
-                let want = pathset_cf_counts(&truncated, &rows);
-                assert_eq!(inc.counts(h), want, "prefix {through}");
-                assert_eq!(inc.perf(h), perf_from_counts(want.0, want.1));
-            }
+            let want: Vec<f64> = [&[0][..], &[0, 1], &[0, 1, 2]]
+                .iter()
+                .map(|rows| reference_y(&batch_ind, rows, 0, through))
+                .collect();
+            assert_eq!(inc.ys(), vec![want], "prefix {through}");
         }
     }
 
@@ -468,17 +416,17 @@ mod tests {
         let cfg = NormalizeConfig::default();
         let group = [PathId(0), PathId(1)];
         let w = 12;
-        let mut inc = SlidingCounts::with_window(cfg, w);
-        let gid = inc.register_group(&group);
-        let h = inc.register_pathset(gid, &PathSet::pair(PathId(0), PathId(1)));
+        let sets = [PathSet::pair(PathId(0), PathId(1))];
+        let mut inc = SlidingCounts::new(cfg, Some(w), [(&group[..], &sets[..])]);
         let ind = group_indicators(&log, &group, cfg);
         for through in 1..=log.interval_count() {
             inc.advance(&log, through);
             let lo = through.saturating_sub(w);
-            let windowed: Vec<Vec<Option<bool>>> =
-                ind.iter().map(|row| row[lo..through].to_vec()).collect();
-            let want = pathset_cf_counts(&windowed, &[0, 1]);
-            assert_eq!(inc.counts(h), want, "window ending at {through}");
+            assert_eq!(
+                inc.ys()[0][0],
+                reference_y(&ind, &[0, 1], lo, through),
+                "window ending at {through}"
+            );
         }
     }
 
@@ -492,48 +440,49 @@ mod tests {
         }
         let cfg = NormalizeConfig::default();
         let group = [PathId(0), PathId(1), PathId(2)];
-        let mut inc = SlidingCounts::new(cfg);
-        let gid = inc.register_group(&group);
-        let h = inc.register_pathset(gid, &PathSet::single(PathId(1)));
+        let sets = [PathSet::single(PathId(1))];
+        let mut inc = SlidingCounts::new(cfg, None, [(&group[..], &sets[..])]);
         inc.advance(&a, a.interval_count());
 
         // Second vantage arrives: merged history invalidates the counters.
         a.merge(&b).unwrap();
         inc.rebase();
+        assert_eq!(inc.consumed(), 0);
         inc.advance(&a, a.interval_count());
 
         let ind = group_indicators(&a, &group, cfg);
-        let want = pathset_cf_counts(&ind, &[1]);
-        assert_eq!(inc.counts(h), want);
+        assert_eq!(
+            inc.ys()[0][0],
+            reference_y(&ind, &[1], 0, a.interval_count())
+        );
     }
 
     #[test]
     fn group_registration_deduplicates() {
-        let mut inc = SlidingCounts::new(NormalizeConfig::default());
-        let a = inc.register_group(&[PathId(1), PathId(0), PathId(1)]);
-        let b = inc.register_group(&[PathId(0), PathId(1)]);
-        assert_eq!(a, b);
+        let sets = [PathSet::single(PathId(0))];
+        let unsorted = [PathId(1), PathId(0), PathId(1)];
+        let sorted = [PathId(0), PathId(1)];
+        let inc = SlidingCounts::new(
+            NormalizeConfig::default(),
+            None,
+            [(&unsorted[..], &sets[..]), (&sorted[..], &sets[..])],
+        );
+        assert_eq!(inc.groups.len(), 1, "one state per distinct group");
+        assert_eq!(inc.ys(), vec![vec![0.0], vec![0.0]], "one y row per slice");
     }
 
     #[test]
-    fn streaming_log_freezes_closed_intervals() {
-        let mut s = StreamingLog::new(2, 0.1);
-        s.record_sent_at(0.05, PathId(0), 10).unwrap();
-        s.record_sent_at(0.15, PathId(0), 10).unwrap();
-        assert_eq!(s.close_through(0.15), 1);
-        assert_eq!(s.closed(), 1);
-        // Interval 0 is frozen now.
-        assert_eq!(
-            s.record_sent_at(0.06, PathId(0), 1),
-            Err(StreamError::IntervalClosed { t: 0, closed: 1 })
-        );
-        // Interval 1 still accepts records.
-        s.record_lost_at(0.19, PathId(0), 2).unwrap();
-        assert_eq!(s.close_all(), 1);
-        assert_eq!(s.closed(), 2);
-        let log = s.into_log();
-        assert_eq!(log.sent(0, PathId(0)), 10);
-        assert_eq!(log.lost(1, PathId(0)), 2);
+    #[should_panic(expected = "one advance over the whole log")]
+    fn delay_feature_refuses_a_partial_advance() {
+        let log = lossy_log(10);
+        let cfg = NormalizeConfig {
+            delay: Some(nni_core::DelayFeature::default()),
+            ..NormalizeConfig::default()
+        };
+        let group = [PathId(0), PathId(1)];
+        let sets = [PathSet::single(PathId(0))];
+        let mut inc = SlidingCounts::new(cfg, None, [(&group[..], &sets[..])]);
+        inc.advance(&log, 5);
     }
 
     #[test]
@@ -550,17 +499,5 @@ mod tests {
             s.append_interval(&[1, 2, 3], &[0, 0, 0]),
             Err(StreamError::PathCountMismatch { ours: 2, theirs: 3 })
         );
-    }
-
-    #[test]
-    fn close_through_materializes_silent_intervals() {
-        let mut s = StreamingLog::new(1, 0.1);
-        assert_eq!(s.close_through(0.55), 5);
-        assert_eq!(s.closed(), 5);
-        assert_eq!(s.log().interval_count(), 5);
-        assert_eq!(s.log().sent(4, PathId(0)), 0);
-        // Closing backwards is a no-op.
-        assert_eq!(s.close_through(0.3), 0);
-        assert_eq!(s.closed(), 5);
     }
 }

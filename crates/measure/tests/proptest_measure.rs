@@ -2,12 +2,12 @@
 
 use nni_measure::{
     group_indicators, hypergeometric, pathset_cf_counts, perf_from_counts, MeasurementLog,
-    NormalizeConfig,
+    NormalizeConfig, SlidingCounts,
 };
-use nni_topology::PathId;
+use nni_topology::{PathId, PathSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random measurement log for `paths` paths over `t` intervals.
 fn log_strategy() -> impl Strategy<Value = MeasurementLog> {
@@ -54,8 +54,126 @@ fn vantage_logs() -> impl Strategy<Value = (MeasurementLog, MeasurementLog, Meas
     })
 }
 
+/// A random non-empty selection from `pool` in random order; one member
+/// may appear twice.
+fn random_subset(rng: &mut StdRng, pool: &[PathId]) -> Vec<PathId> {
+    let mut out: Vec<PathId> = pool.iter().copied().filter(|_| rng.gen_bool(0.6)).collect();
+    out.push(pool[rng.gen_range(0..pool.len())]);
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..=i));
+    }
+    out
+}
+
+/// Random slices over `n` paths: shuffled groups, some with a duplicated
+/// member, some repeating an earlier group in reverse order, each with a
+/// few random pathsets drawn from the group.
+fn random_slices(rng: &mut StdRng, n: usize) -> Vec<(Vec<PathId>, Vec<PathSet>)> {
+    let all: Vec<PathId> = (0..n).map(PathId).collect();
+    let mut slices: Vec<(Vec<PathId>, Vec<PathSet>)> = Vec::new();
+    for _ in 0..rng.gen_range(1..=4) {
+        let group: Vec<PathId> = match rng.gen_range(0..slices.len() + 2) {
+            k if k < slices.len() => slices[k].0.iter().rev().copied().collect(),
+            _ => random_subset(rng, &all),
+        };
+        let pathsets = (0..rng.gen_range(1..=4))
+            .map(|_| PathSet::new(random_subset(rng, &group)))
+            .collect();
+        slices.push((group, pathsets));
+    }
+    slices
+}
+
+/// The reference model's `y` vectors for `slices` over intervals
+/// `lo..hi`: `perf_from_counts(pathset_cf_counts(group_indicators(..)))`
+/// with each group exactly as given (unsorted, duplicates kept).
+fn reference_ys(
+    log: &MeasurementLog,
+    cfg: NormalizeConfig,
+    slices: &[(Vec<PathId>, Vec<PathSet>)],
+    lo: usize,
+    hi: usize,
+) -> Vec<Vec<f64>> {
+    slices
+        .iter()
+        .map(|(group, pathsets)| {
+            let ind: Vec<Vec<Option<bool>>> = group_indicators(log, group, cfg)
+                .into_iter()
+                .map(|row| row[lo..hi].to_vec())
+                .collect();
+            pathsets
+                .iter()
+                .map(|ps| {
+                    let rows: Vec<usize> = ps
+                        .paths()
+                        .iter()
+                        .map(|p| group.iter().position(|q| q == p).unwrap())
+                        .collect();
+                    let (cf, informative) = pathset_cf_counts(&ind, &rows);
+                    perf_from_counts(cf, informative)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Splits `from..=to` into a random sequence of advance targets (repeats
+/// allowed: an advance to the current watermark is a no-op).
+fn random_chunking(rng: &mut StdRng, from: usize, to: usize) -> Vec<usize> {
+    let mut at = from;
+    let mut cuts = Vec::new();
+    while at < to {
+        at = rng.gen_range(at..=to);
+        cuts.push(at);
+    }
+    cuts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Algorithm 2 engine equals the reference model: over arbitrary
+    /// logs, shuffled and duplicated groups, random pathsets, any chunking
+    /// of the advances, an optional window, and a rebase followed by a
+    /// re-advance, `ys()` is `perf_from_counts(pathset_cf_counts(
+    /// group_indicators(..)))` over the same interval range.
+    #[test]
+    fn engine_matches_the_reference_model(log in log_strategy(), knobs in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(knobs);
+        let t_max = log.interval_count();
+        let cfg = NormalizeConfig {
+            loss_threshold: [0.01, 0.05][rng.gen_range(0..2usize)],
+            seed: rng.gen_range(0..u64::MAX),
+            delay: None,
+        };
+        let slices = random_slices(&mut rng, log.path_count());
+        let window = rng.gen_bool(0.5).then(|| rng.gen_range(1..=t_max + 1));
+        let mut engine = SlidingCounts::new(
+            cfg,
+            window,
+            slices.iter().map(|(g, s)| (g.as_slice(), s.as_slice())),
+        );
+        let lo = |through: usize| window.map_or(0, |w| through.saturating_sub(w));
+
+        prop_assert_eq!(engine.ys(), reference_ys(&log, cfg, &slices, 0, 0));
+        for through in random_chunking(&mut rng, 0, t_max) {
+            engine.advance(&log, through);
+            prop_assert_eq!(engine.consumed(), through);
+            prop_assert_eq!(
+                engine.ys(),
+                reference_ys(&log, cfg, &slices, lo(through), through),
+                "advanced through {}", through
+            );
+        }
+
+        // A rebase forgets everything; re-advancing replays from zero.
+        engine.rebase();
+        let stop = rng.gen_range(0..=t_max);
+        for through in random_chunking(&mut rng, 0, stop) {
+            engine.advance(&log, through);
+        }
+        prop_assert_eq!(engine.ys(), reference_ys(&log, cfg, &slices, lo(stop), stop));
+    }
 
     /// Vantage merging is commutative: which collector reports first must
     /// not change the combined log.
@@ -114,7 +232,7 @@ proptest! {
     }
 
     /// Indicators are independent of the group ordering and of unrelated
-    /// query order — the foundation of the observation cache's correctness.
+    /// query order — the foundation of the engine's group deduplication.
     #[test]
     fn indicators_invariant_under_group_permutation(log in log_strategy()) {
         let n = log.path_count();

@@ -16,8 +16,9 @@
 //!   is link-level information, which a measurement set deliberately does
 //!   not carry — NetPolice alone still takes the raw [`SimReport`].
 
+use nni_core::Observations;
 use nni_emu::SimReport;
-use nni_measure::{MeasuredObservations, MeasurementSet, NormalizeConfig};
+use nni_measure::{MeasuredObservations, MeasurementSet};
 use nni_tomography::{
     boolean_infer, glasnost_detect, loss_infer, netpolice_detect, BooleanTomography,
     GlasnostVerdict, LinkVerdict, LossTomography, ProbeMeasurements, Snapshot,
@@ -59,14 +60,7 @@ pub fn boolean(set: &MeasurementSet, cfg: &InferenceConfig) -> BooleanTomography
 /// (same threshold, same salted seed).
 pub fn loss(set: &MeasurementSet, cfg: &InferenceConfig) -> LossTomography {
     let g = &set.topology;
-    let obs = MeasuredObservations::new(
-        &set.log,
-        NormalizeConfig {
-            loss_threshold: cfg.loss_threshold,
-            seed: set.provenance.seed ^ cfg.normalize_salt,
-            delay: cfg.delay,
-        },
-    );
+    let obs = MeasuredObservations::new(&set.log, cfg.normalize(set.provenance.seed));
     let group: Vec<PathId> = g.path_ids().collect();
     let mut pathsets: Vec<PathSet> = g.path_ids().map(PathSet::single).collect();
     for i in 0..group.len() {
@@ -74,13 +68,9 @@ pub fn loss(set: &MeasurementSet, cfg: &InferenceConfig) -> LossTomography {
             pathsets.push(PathSet::pair(group[i], group[j]));
         }
     }
-    let y: Vec<f64> = pathsets
-        .iter()
-        .map(|p| {
-            use nni_core::Observations;
-            obs.pathset_perf(&group, p)
-        })
-        .collect();
+    // One query: the full-group column is evaluated once per interval,
+    // not once per pathset.
+    let y = obs.observe_all(&group, &pathsets);
     loss_infer(g, &pathsets, &y)
 }
 

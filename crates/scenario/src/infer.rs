@@ -8,10 +8,11 @@
 //! `infer(decode(encode(simulate())))` is bit-identical to the fused path
 //! (gated by `tests/corpus_roundtrip.rs`).
 
-use nni_core::{evaluate, identify, Config, InferenceResult, Quality};
-use nni_measure::{MeasuredObservations, MeasurementSet, NormalizeConfig};
+use nni_core::{evaluate, identify_scores, Config, IdentifyPlan, InferenceResult, Quality};
+use nni_measure::{MeasurementSet, NormalizeConfig};
 
 use crate::spec::{Expectation, Scenario};
+use crate::stream::plan_counts;
 
 /// Everything the inference half needs beyond the measurements themselves.
 ///
@@ -46,6 +47,16 @@ impl InferenceConfig {
             delay: scenario.measurement.delay_feature,
         }
     }
+
+    /// Algorithm 2's configuration for a set recorded under `seed`: the
+    /// normalization draw is seeded from the seed XOR the config's salt.
+    pub(crate) fn normalize(&self, seed: u64) -> NormalizeConfig {
+        NormalizeConfig {
+            loss_threshold: self.loss_threshold,
+            seed: seed ^ self.normalize_salt,
+            delay: self.delay,
+        }
+    }
 }
 
 impl Default for InferenceConfig {
@@ -62,6 +73,8 @@ impl Default for InferenceConfig {
 /// Runs Algorithm 2 + Algorithm 1 over a measurement set: the pure
 /// inference half of [`Experiment::run`](crate::Experiment::run).
 ///
+/// Algorithm 2 is one whole-log fold of the engine
+/// [`StreamingInference`](crate::StreamingInference) folds per interval.
 /// Deterministic in `(set, cfg)`: the normalization draw is seeded from the
 /// set's provenance seed XOR the config's salt, exactly as the fused path
 /// seeds it.
@@ -78,15 +91,10 @@ pub(crate) fn infer_parts(
     seed: u64,
     cfg: &InferenceConfig,
 ) -> InferenceResult {
-    let obs = MeasuredObservations::new(
-        log,
-        NormalizeConfig {
-            loss_threshold: cfg.loss_threshold,
-            seed: seed ^ cfg.normalize_salt,
-            delay: cfg.delay,
-        },
-    );
-    identify(topology, &obs, cfg.algorithm)
+    let plan = IdentifyPlan::new(topology, &cfg.algorithm);
+    let mut counts = plan_counts(&plan, cfg.normalize(seed), None);
+    counts.advance(log, log.interval_count());
+    identify_scores(&plan, &counts.ys(), cfg.algorithm)
 }
 
 /// One re-inference product: everything [`ExperimentOutcome`] reports except

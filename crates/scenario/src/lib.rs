@@ -18,10 +18,11 @@
 //!   on-disk [`Corpus`], or cached in a [`MeasurementCache`]) under an
 //!   [`InferenceConfig`].
 //! * [`stream`](mod@stream) — online inference: [`StreamingInference`]
-//!   re-clusters on every closed interval from incremental Algorithm 2
-//!   counters, and [`infer_incremental`] converges bit-identically to
-//!   [`infer()`] (the streaming guarantee, gated by
-//!   `tests/streaming_convergence.rs` in `nni-live`).
+//!   re-clusters on every closed interval over the same Algorithm 2
+//!   engine (`nni_measure::SlidingCounts`) that [`infer()`] folds a whole
+//!   log through, so its verdicts converge bit-identically to batch (the
+//!   streaming guarantee, gated by `tests/streaming_convergence.rs` in
+//!   `nni-live`).
 //! * [`executor`] — [`SerialExecutor`] and [`ShardedExecutor`]: independent
 //!   runs fan out across scoped threads with deterministic, input-order
 //!   results. Identical scenarios produce bit-identical outcomes on either
@@ -119,7 +120,7 @@ pub use spec::{
     BackgroundTraffic, Expectation, MeasurementConfig, QueueOverride, Scenario, ScenarioBuilder,
     ScenarioError, TrafficProfile, DEFAULT_NORMALIZE_SALT,
 };
-pub use stream::{infer_incremental, StreamingInference};
+pub use stream::StreamingInference;
 pub use sweep::{reinfer_sets, run_sets, ReinferOutcome, SweepMember, SweepOutcome, SweepSet};
 // The dataset seam's types, re-exported so consumers of the experiment
 // surface need only this crate.

@@ -1,6 +1,6 @@
 //! Online inference: [`StreamingInference`] re-clusters per closed
-//! interval, and [`infer_incremental`] is the batch-shaped wrapper whose
-//! result is bit-identical to [`infer`](crate::infer()).
+//! interval over the same Algorithm 2 engine ([`SlidingCounts`]) batch
+//! [`infer`](crate::infer()) folds a whole log through.
 //!
 //! Why the verdicts converge *exactly* (the streaming guarantee):
 //!
@@ -9,7 +9,7 @@
 //!    arrival equals computing them in a batch pass;
 //! 2. the per-pathset state is two integers (congestion-free and
 //!    informative interval counts) accumulated exactly once per interval —
-//!    integer addition in arrival order equals a batch recount;
+//!    integer addition in arrival order equals a whole-log fold;
 //! 3. the performance numbers and everything after them (pair estimates,
 //!    unsolvability, 2-means, redundancy removal) are pure functions
 //!    re-run from those integers through the *same* code path batch
@@ -20,15 +20,30 @@
 //! checked by `tests/streaming_convergence.rs`.
 
 use nni_core::{identify_scores, IdentifyPlan, InferenceResult};
-use nni_measure::{MeasurementLog, MeasurementSet, NormalizeConfig, PathsetHandle, SlidingCounts};
+use nni_measure::{MeasurementLog, NormalizeConfig, SlidingCounts};
 use nni_topology::Topology;
 
 use crate::infer::InferenceConfig;
 
+/// The Algorithm 2 engine over every slice of `plan`: its
+/// [`ys`](SlidingCounts::ys) are in the layout [`identify_scores`] takes.
+pub(crate) fn plan_counts(
+    plan: &IdentifyPlan,
+    cfg: NormalizeConfig,
+    window: Option<usize>,
+) -> SlidingCounts {
+    let slices = plan
+        .slices()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (plan.group(i), s.pathsets.as_slice()));
+    SlidingCounts::new(cfg, window, slices)
+}
+
 /// Incremental Algorithm 1 + 2 over a growing measurement log.
 ///
-/// Construction precomputes the slice plan and registers every
-/// normalization group and pathset with a [`SlidingCounts`]; each
+/// Construction precomputes the slice plan and builds a [`SlidingCounts`]
+/// over every slice's normalization group and pathsets; each
 /// [`advance`](StreamingInference::advance) folds newly closed intervals
 /// into integer counters (one Algorithm 2 evaluation per group per
 /// interval — *not* a full recompute), and
@@ -39,10 +54,6 @@ pub struct StreamingInference {
     cfg: InferenceConfig,
     plan: IdentifyPlan,
     counts: SlidingCounts,
-    /// Per slice, per pathset — aligned with the plan's slice order and
-    /// each slice's pathset order, exactly the `y` layout
-    /// [`identify_scores`] expects.
-    handles: Vec<Vec<PathsetHandle>>,
 }
 
 impl StreamingInference {
@@ -75,46 +86,24 @@ impl StreamingInference {
         // Streaming inference is loss-only by design: the joint indicator's
         // delay baseline is a min over the *whole* log (and per-interval
         // percentiles are order statistics, so they cannot be folded
-        // incrementally) — a delay feature here would silently diverge from
-        // batch. `MergeError::DelayNotMergeable` enforces the same boundary
-        // on the vantage-merge side.
+        // incrementally) — `SlidingCounts::advance` refuses a prefix fold
+        // under a delay feature. `MergeError::DelayNotMergeable` enforces
+        // the same boundary on the vantage-merge side.
         let ncfg = NormalizeConfig {
-            loss_threshold: cfg.loss_threshold,
-            seed: seed ^ cfg.normalize_salt,
             delay: None,
+            ..cfg.normalize(seed)
         };
-        let mut counts = match window {
-            Some(w) => SlidingCounts::with_window(ncfg, w),
-            None => SlidingCounts::new(ncfg),
-        };
-        let handles = plan
-            .slices()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let gid = counts.register_group(plan.group(i));
-                s.pathsets
-                    .iter()
-                    .map(|ps| counts.register_pathset(gid, ps))
-                    .collect()
-            })
-            .collect();
+        let counts = plan_counts(&plan, ncfg, window);
         StreamingInference {
             cfg: *cfg,
             plan,
             counts,
-            handles,
         }
     }
 
     /// Intervals consumed so far (the verdict watermark).
     pub fn consumed(&self) -> usize {
         self.counts.consumed()
-    }
-
-    /// The sliding window, if any.
-    pub fn window(&self) -> Option<usize> {
-        self.counts.window()
     }
 
     /// Folds closed intervals `consumed..through` of `log` into the
@@ -127,7 +116,7 @@ impl StreamingInference {
     }
 
     /// Forgets all consumed intervals, keeping the precomputed plan and
-    /// registrations — the exact fallback for history rewrites: after a
+    /// counter layout — the exact fallback for history rewrites: after a
     /// [`MeasurementLog::merge`] the caller rebases and re-advances over
     /// the merged log, landing on exactly the verdict batch inference
     /// computes over it.
@@ -140,26 +129,8 @@ impl StreamingInference {
     /// bit-identical to batch [`infer`](crate::infer()) over the log's
     /// first `T` intervals.
     pub fn verdict(&self) -> InferenceResult {
-        let ys: Vec<Vec<f64>> = self
-            .handles
-            .iter()
-            .map(|hs| hs.iter().map(|&h| self.counts.perf(h)).collect())
-            .collect();
-        identify_scores(&self.plan, &ys, self.cfg.algorithm)
+        identify_scores(&self.plan, &self.counts.ys(), self.cfg.algorithm)
     }
-}
-
-/// Batch-shaped incremental inference: feeds the set's log one interval at
-/// a time through a [`StreamingInference`] and returns the final verdict.
-/// Bit-identical to [`infer`](crate::infer()) on every input — the
-/// convergence guarantee behind the streaming subsystem, gated per-release
-/// by `tests/streaming_convergence.rs`.
-pub fn infer_incremental(set: &MeasurementSet, cfg: &InferenceConfig) -> InferenceResult {
-    let mut live = StreamingInference::new(&set.topology, set.provenance.seed, cfg);
-    for t in 0..set.log.interval_count() {
-        live.advance(&set.log, t + 1);
-    }
-    live.verdict()
 }
 
 #[cfg(test)]
@@ -167,7 +138,9 @@ mod tests {
     use super::*;
     use crate::infer::infer;
     use crate::library::{topology_a_scenario, ExperimentParams, Mechanism};
+    use nni_measure::MeasurementSet;
     use nni_topology::PathId;
+    use std::ops::Range;
 
     fn recorded_set() -> MeasurementSet {
         let mut s = topology_a_scenario(ExperimentParams {
@@ -186,9 +159,27 @@ mod tests {
         let set = recorded_set();
         let cfg = InferenceConfig::default();
         let batch = infer(&set, &cfg);
-        let streamed = infer_incremental(&set, &cfg);
+        let mut live = StreamingInference::new(&set.topology, set.provenance.seed, &cfg);
+        for t in 1..=set.log.interval_count() {
+            live.advance(&set.log, t);
+        }
+        let streamed = live.verdict();
         assert_eq!(streamed, batch);
         assert_eq!(streamed.fingerprint(), batch.fingerprint());
+    }
+
+    /// `set` with only the intervals in `keep` recorded; the others stay
+    /// as silent slots, so the `(interval, path)` draw keys do not shift.
+    fn with_intervals(set: &MeasurementSet, keep: Range<usize>) -> MeasurementSet {
+        let n = set.log.path_count();
+        let mut log = MeasurementLog::new(n, set.log.interval_s());
+        for t in keep {
+            for p in (0..n).map(PathId) {
+                log.record_sent(t, p, set.log.sent(t, p));
+                log.record_lost(t, p, set.log.lost(t, p));
+            }
+        }
+        MeasurementSet { log, ..set.clone() }
     }
 
     #[test]
@@ -199,27 +190,13 @@ mod tests {
         for through in 1..=set.log.interval_count() {
             live.advance(&set.log, through);
             // Batch inference over the same closed prefix.
-            let mut prefix = MeasurementLog::new(set.log.path_count(), set.log.interval_s());
-            for t in 0..through {
-                for p in 0..set.log.path_count() {
-                    prefix.record_sent(t, PathId(p), set.log.sent(t, PathId(p)));
-                    prefix.record_lost(t, PathId(p), set.log.lost(t, PathId(p)));
-                }
-            }
-            let batch_set = MeasurementSet {
-                topology: set.topology.clone(),
-                classes: set.classes.clone(),
-                log: prefix,
-                provenance: set.provenance.clone(),
-            };
             assert_eq!(
                 live.verdict().fingerprint(),
-                infer(&batch_set, &cfg).fingerprint(),
+                infer(&with_intervals(&set, 0..through), &cfg).fingerprint(),
                 "verdict diverged at watermark {through}"
             );
         }
     }
-
     #[test]
     fn rebase_after_merge_matches_batch_over_merged_log() {
         let set = recorded_set();
@@ -260,7 +237,6 @@ mod tests {
         let cfg = InferenceConfig::default();
         let w = 20;
         let mut live = StreamingInference::windowed(&set.topology, set.provenance.seed, &cfg, w);
-        assert_eq!(live.window(), Some(w));
         let t_max = set.log.interval_count();
         assert!(t_max > w, "need more intervals than the window");
         live.advance(&set.log, t_max);
@@ -268,19 +244,7 @@ mod tests {
         // The batch comparison must see the same (interval, path) RNG
         // keys, so the window is expressed as zeroed-out old intervals,
         // not a shifted log.
-        let mut tail_log = MeasurementLog::new(set.log.path_count(), set.log.interval_s());
-        for t in (t_max - w)..t_max {
-            for p in 0..set.log.path_count() {
-                tail_log.record_sent(t, PathId(p), set.log.sent(t, PathId(p)));
-                tail_log.record_lost(t, PathId(p), set.log.lost(t, PathId(p)));
-            }
-        }
-        let tail_set = MeasurementSet {
-            topology: set.topology.clone(),
-            classes: set.classes.clone(),
-            log: tail_log,
-            provenance: set.provenance.clone(),
-        };
+        let tail_set = with_intervals(&set, t_max - w..t_max);
         assert_eq!(
             live.verdict().fingerprint(),
             infer(&tail_set, &cfg).fingerprint()

@@ -7,7 +7,7 @@
 //! end-to-end consequence on generated scenarios.)
 
 use nni_measure::{MeasurementLog, MeasurementSet};
-use nni_scenario::{infer, infer_incremental, InferenceConfig, ScenarioGen};
+use nni_scenario::{infer, InferenceConfig, ScenarioGen, StreamingInference};
 use nni_topology::PathId;
 use proptest::prelude::*;
 
@@ -48,14 +48,14 @@ proptest! {
         merged.merge(&parts[2]).unwrap();
         prop_assert_eq!(&merged, &set.log, "the split loses nothing");
 
-        let merged_set = MeasurementSet {
-            topology: set.topology.clone(),
-            classes: set.classes.clone(),
-            log: merged,
-            provenance: set.provenance.clone(),
-        };
+        let merged_set = MeasurementSet { log: merged, ..set.clone() };
         let reference = infer(&set, &cfg).fingerprint();
         prop_assert_eq!(infer(&merged_set, &cfg).fingerprint(), reference);
-        prop_assert_eq!(infer_incremental(&merged_set, &cfg).fingerprint(), reference);
+        let seed = merged_set.provenance.seed;
+        let mut live = StreamingInference::new(&merged_set.topology, seed, &cfg);
+        for t in 1..=merged_set.log.interval_count() {
+            live.advance(&merged_set.log, t);
+        }
+        prop_assert_eq!(live.verdict().fingerprint(), reference);
     }
 }
