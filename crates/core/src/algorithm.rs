@@ -14,7 +14,7 @@
 //! ```
 
 use crate::obs::Observations;
-use crate::slice::{enumerate_slices, normalization_group, Slice};
+use crate::slice::{enumerate_slices, normalization_group, spread, Slice};
 use nni_linalg::{analyze, default_tolerance};
 use nni_stats::{two_means, SeparationGuard};
 use nni_topology::{LinkSeq, PathId, Topology};
@@ -259,13 +259,14 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
     let mut verdicts: Vec<SliceVerdict> = Vec::with_capacity(slices.len());
     let mut exact_flags: Vec<bool> = Vec::with_capacity(slices.len());
     for (s, y) in slices.iter().zip(ys) {
+        let pair_estimates = s.pair_estimates(y);
+        let unsolvability = spread(&pair_estimates);
         let estimates: Vec<PairEstimate> = s
             .pairs
             .iter()
-            .zip(s.pair_estimates(y))
+            .zip(pair_estimates)
             .map(|(&pair, estimate)| PairEstimate { pair, estimate })
             .collect();
-        let unsolvability = s.unsolvability(y);
         let exact_unsolvable = match cfg.mode {
             DecisionMode::Exact { tol } => {
                 let a = s.routing_matrix();

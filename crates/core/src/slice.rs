@@ -15,8 +15,8 @@
 //! path pairs in `Θ_τ` enter the system.
 
 use nni_linalg::Matrix;
-use nni_topology::{LinkSeq, PathId, PathSet, Topology};
-use std::collections::BTreeMap;
+use nni_topology::{LinkId, LinkSeq, PathId, PathSet, Topology};
+use std::collections::HashMap;
 
 /// The slice for one candidate link sequence `τ`.
 #[derive(Debug, Clone)]
@@ -116,35 +116,66 @@ impl Slice {
     /// The paper's §6.2 unsolvability: the spread (max − min) of the
     /// per-pair estimates of `x_τ`.
     pub fn unsolvability(&self, y: &[f64]) -> f64 {
-        let est = self.pair_estimates(y);
-        let max = est.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = est.iter().cloned().fold(f64::INFINITY, f64::min);
-        (max - min).max(0.0)
+        spread(&self.pair_estimates(y))
     }
+}
+
+/// The spread (max − min, floored at zero) of a slice's pair estimates —
+/// its unsolvability.
+pub(crate) fn spread(estimates: &[f64]) -> f64 {
+    let max = estimates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let min = estimates.iter().cloned().fold(f64::INFINITY, f64::min);
+    (max - min).max(0.0)
 }
 
 /// Enumerates every candidate slice of the network: path pairs are grouped
 /// by their shared link set (Algorithm 1, lines 2–8). Pairs sharing nothing
-/// are skipped. Slices are returned sorted by `τ` for determinism.
+/// are skipped. Slices are returned sorted by `τ` for determinism, each
+/// with its pairs in `(i, j)` enumeration order.
+///
+/// Each path's links are a bitset of `⌈L/64⌉` words, so a pair's shared
+/// links are the AND of two bitsets, and pairs group under those words.
 pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
     let paths = topology.paths();
-    let mut groups: BTreeMap<LinkSeq, Vec<(PathId, PathId)>> = BTreeMap::new();
-    for i in 0..paths.len() {
-        for j in i + 1..paths.len() {
-            let shared = paths[i].shared_links(&paths[j]);
-            if shared.is_empty() {
-                continue;
-            }
-            groups
-                .entry(shared)
-                .or_default()
-                .push((paths[i].id(), paths[j].id()));
+    let words = topology.link_count().div_ceil(64);
+    let mut masks = vec![0u64; paths.len() * words];
+    for (mask, path) in masks.chunks_exact_mut(words).zip(paths) {
+        for l in path.links() {
+            mask[l.index() / 64] |= 1 << (l.index() % 64);
         }
     }
-    groups
+    let mask = |i: usize| &masks[i * words..(i + 1) * words];
+    let mut groups: HashMap<Vec<u64>, Vec<(PathId, PathId)>> = HashMap::new();
+    let mut shared = vec![0u64; words];
+    for i in 0..paths.len() {
+        for j in i + 1..paths.len() {
+            for ((s, a), b) in shared.iter_mut().zip(mask(i)).zip(mask(j)) {
+                *s = a & b;
+            }
+            if shared.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let pair = (paths[i].id(), paths[j].id());
+            match groups.get_mut(shared.as_slice()) {
+                Some(pairs) => pairs.push(pair),
+                None => {
+                    groups.insert(shared.clone(), vec![pair]);
+                }
+            }
+        }
+    }
+    let mut slices: Vec<Slice> = groups
         .into_iter()
-        .map(|(tau, pairs)| Slice::new(tau, pairs))
-        .collect()
+        .map(|(shared, pairs)| {
+            let links = (0..words * 64)
+                .filter(|&l| shared[l / 64] >> (l % 64) & 1 == 1)
+                .map(LinkId)
+                .collect();
+            Slice::new(LinkSeq::new(links), pairs)
+        })
+        .collect();
+    slices.sort_by(|a, b| a.tau.cmp(&b.tau));
+    slices
 }
 
 /// The slice for a specific `τ`, if any path pair shares exactly `τ`.
@@ -164,7 +195,6 @@ pub fn normalization_group(topology: &Topology, tau: &LinkSeq) -> Vec<PathId> {
 mod tests {
     use super::*;
     use nni_topology::library::{figure4, figure5, topology_b};
-    use nni_topology::LinkId;
 
     #[test]
     fn figure4_slices_match_section_5_example() {

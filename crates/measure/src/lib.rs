@@ -28,7 +28,9 @@
 //! * [`stream`] — [`StreamingLog`] (closed-interval watermark) and
 //!   [`SlidingCounts`], the one Algorithm 2 engine: per-pathset counters
 //!   that batch inference folds over a whole log and streaming folds one
-//!   closed interval at a time (optional sliding window).
+//!   closed interval at a time (optional sliding window). Intervals fold
+//!   as packed bit masks, 64 to a word, and a pathset's count is the
+//!   popcount of its members' ANDed words.
 //! * [`segment`] — the append-friendly `.nniseg` on-disk segment format
 //!   ([`SegmentWriter`]/[`SegmentFollower`]): a codec-v1 header chunk plus
 //!   checksummed interval chunks, readable while being written, with

@@ -14,9 +14,12 @@
 //!
 //! So [`SlidingCounts`] folds each closed interval into per-pathset integer
 //! counters exactly once, and every verdict derived from those counters is
-//! bit-identical to a whole-log pass over the same closed prefix. An
-//! optional sliding window bounds the counters to the last `W` intervals by
-//! remembering one 2-bit outcome per interval per pathset.
+//! bit-identical to a whole-log pass over the same closed prefix. The fold
+//! works on packed masks, up to 64 intervals per word: a pathset's
+//! congestion-free count grows by the popcount of its member paths' ANDed
+//! congestion-free words. An optional sliding window bounds the counters to
+//! the last `W` intervals by remembering those words in a `W`-bit ring per
+//! group path, plus one per group for informativeness.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -130,17 +133,11 @@ impl StreamingLog {
     }
 }
 
-/// Per-interval outcome of a pathset, packed for the window ring.
-const OUT_UNINFORMATIVE: u8 = 0;
-const OUT_CONGESTED: u8 = 1;
-const OUT_CF: u8 = 2;
-
 #[derive(Debug, Clone)]
 struct SetState {
     /// This pathset's member rows: a range of the group's `members`.
     members: Range<usize>,
     cf: usize,
-    informative: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -151,10 +148,14 @@ struct GroupState {
     /// Every pathset's member rows into `paths`, concatenated.
     members: Vec<usize>,
     sets: Vec<SetState>,
-    /// Windowed mode only: the outcomes of the last `W` intervals, one row
-    /// of `sets.len()` per slot `t % W` (eviction needs to know what each
-    /// expiring interval contributed).
-    ring: Vec<u8>,
+    /// Informative intervals counted: the same for every pathset of the
+    /// group, because informativeness is a property of the whole column.
+    informative: usize,
+    /// Windowed mode only: the last `W` intervals' bits, one row of
+    /// `⌈W/64⌉` words per group path (congestion-free) plus a last row for
+    /// informativeness; interval `t` sits at bit `t % W` of each row
+    /// (eviction needs to know what each expiring interval contributed).
+    ring: Vec<u64>,
 }
 
 /// Algorithm 2 as per-pathset congestion-free and informative interval
@@ -169,6 +170,12 @@ struct GroupState {
 /// reference model ([`group_indicators`](crate::group_indicators) +
 /// [`pathset_cf_counts`](crate::pathset_cf_counts)) over the consumed
 /// prefix (unwindowed), or over its last `W` intervals (windowed).
+///
+/// Intervals are folded in chunks of up to 64 as packed bit masks: one
+/// congestion-free word per group path and one informative word per group,
+/// so a pathset's count grows by the popcount of its members' ANDed words.
+/// A window keeps the last `W` intervals of those words in a `W`-bit ring
+/// per group path (plus one per group for informativeness).
 #[derive(Debug, Clone)]
 pub struct SlidingCounts {
     cfg: NormalizeConfig,
@@ -196,6 +203,7 @@ impl SlidingCounts {
         slices: impl IntoIterator<Item = (&'a [PathId], &'a [PathSet])>,
     ) -> SlidingCounts {
         assert_ne!(window, Some(0), "window must be non-empty");
+        let row_words = window.map_or(0, |w| w.div_ceil(64));
         let mut index: HashMap<Vec<PathId>, usize> = HashMap::new();
         let mut groups: Vec<GroupState> = Vec::new();
         let mut layout = Vec::new();
@@ -208,7 +216,8 @@ impl SlidingCounts {
                     paths: paths.clone(),
                     members: Vec::new(),
                     sets: Vec::new(),
-                    ring: Vec::new(),
+                    informative: 0,
+                    ring: vec![0; (paths.len() + 1) * row_words],
                 });
                 groups.len() - 1
             });
@@ -225,7 +234,6 @@ impl SlidingCounts {
                 g.sets.push(SetState {
                     members: from..g.members.len(),
                     cf: 0,
-                    informative: 0,
                 });
             }
             layout.push((gid, start..g.sets.len()));
@@ -270,36 +278,55 @@ impl SlidingCounts {
         }
         let width = self.groups.iter().map(|g| g.paths.len()).max();
         let mut col = vec![None; width.unwrap_or(0)];
+        let mut words = vec![0u64; width.unwrap_or(0)];
         let mut baselines = Vec::new();
         for g in &mut self.groups {
             if self.cfg.delay.is_some() {
                 baselines = g.paths.iter().map(|&p| log.delay_baseline(p)).collect();
             }
             let col = &mut col[..g.paths.len()];
-            let n = g.sets.len();
-            for t in self.consumed..through {
-                indicator_column(log, &g.paths, t, self.cfg, &baselines, col);
-                // The window's ring slot for `t`; it holds interval `t - W`
-                // once `t >= W`, and grows only while the window fills.
-                let mut slot = self.window.map(|w| {
-                    let base = (t % w) * n;
-                    if g.ring.len() < base + n {
-                        g.ring.resize(base + n, OUT_UNINFORMATIVE);
+            let words = &mut words[..g.paths.len()];
+            let mut t = self.consumed;
+            while t < through {
+                // A chunk stops at a ring word's end and at the ring's end:
+                // its slots are one bit run in one word per row, and it is
+                // no longer than `W`, so they hold exactly the intervals `W`
+                // before its own. The first lap ends at the ring's end, so
+                // a chunk evicts all of its slots (`t >= W`) or none.
+                let len = match self.window {
+                    None => (through - t).min(64),
+                    Some(w) => (through - t).min(w - t % w).min(64 - t % w % 64),
+                };
+                let informative =
+                    fold_chunk(log, &g.paths, t..t + len, self.cfg, &baselines, col, words);
+                for s in &mut g.sets {
+                    s.cf += and_count(words, &g.members[s.members.clone()], len);
+                }
+                g.informative += ones(informative, len);
+                if let Some(w) = self.window {
+                    let row_words = w.div_ceil(64);
+                    let (slot, shift) = (t % w / 64, t % w % 64);
+                    let run = (u64::MAX >> (64 - len)) << shift;
+                    // Stores the chunk's bits in a ring row and returns the
+                    // bits they overwrote.
+                    let mut swap = |row: usize, fresh: u64| {
+                        let cell = &mut g.ring[row * row_words + slot];
+                        let old = (*cell & run) >> shift;
+                        *cell = (*cell & !run) | (fresh << shift);
+                        old
+                    };
+                    let evicted = swap(g.paths.len(), informative);
+                    for (r, word) in words.iter_mut().enumerate() {
+                        *word = swap(r, *word);
                     }
-                    (t >= w, &mut g.ring[base..base + n])
-                });
-                for (i, s) in g.sets.iter_mut().enumerate() {
-                    let out = outcome(col, &g.members[s.members.clone()]);
-                    s.cf += usize::from(out == OUT_CF);
-                    s.informative += usize::from(out != OUT_UNINFORMATIVE);
-                    if let Some((evict, row)) = &mut slot {
-                        let old = std::mem::replace(&mut row[i], out);
-                        if *evict {
-                            s.cf -= usize::from(old == OUT_CF);
-                            s.informative -= usize::from(old != OUT_UNINFORMATIVE);
+                    if t >= w {
+                        g.informative -= ones(evicted, len);
+                        for s in &mut g.sets {
+                            s.cf -= and_count(words, &g.members[s.members.clone()], len);
                         }
                     }
                 }
+                t += len;
             }
         }
         self.consumed = through;
@@ -312,9 +339,10 @@ impl SlidingCounts {
         self.slices
             .iter()
             .map(|(g, sets)| {
-                self.groups[*g].sets[sets.clone()]
+                let g = &self.groups[*g];
+                g.sets[sets.clone()]
                     .iter()
-                    .map(|s| perf_from_counts(s.cf, s.informative))
+                    .map(|s| perf_from_counts(s.cf, g.informative))
                     .collect()
             })
             .collect()
@@ -323,31 +351,67 @@ impl SlidingCounts {
     /// Forgets every consumed interval but keeps the registered structure —
     /// the exact-fallback reset used when a multi-vantage merge rewrites
     /// history (merged counts in frozen intervals changed, so the stream
-    /// re-advances from zero over the merged log).
+    /// re-advances from zero over the merged log). The window ring keeps
+    /// its stale bits: each slot is rewritten before it is next evicted.
     pub fn rebase(&mut self) {
         self.consumed = 0;
         for g in &mut self.groups {
+            g.informative = 0;
             for s in &mut g.sets {
                 s.cf = 0;
-                s.informative = 0;
             }
         }
     }
 }
 
-/// A pathset's outcome in one interval's indicator column: uninformative
-/// when any member carries no information, congestion-free when every
-/// member is, congested otherwise.
-fn outcome(col: &[Option<bool>], rows: &[usize]) -> u8 {
-    let mut out = OUT_CF;
-    for &r in rows {
-        match col[r] {
-            None => return OUT_UNINFORMATIVE,
-            Some(false) => out = OUT_CONGESTED,
-            Some(true) => {}
+/// Folds intervals `ts` (at most 64) of one group into packed masks: bit
+/// `k` of `words[r]` is set when group path `r` was congestion-free in
+/// interval `ts.start + k`, and bit `k` of the returned word when that
+/// interval was informative.
+///
+/// [`indicator_column`] marks a whole column `None` (some group path sent
+/// nothing, so there is no common budget) or a whole column `Some`. So
+/// informativeness is one bit per group rather than per path, and every
+/// congestion-free bit lies inside the informative word.
+fn fold_chunk(
+    log: &MeasurementLog,
+    paths: &[PathId],
+    ts: Range<usize>,
+    cfg: NormalizeConfig,
+    baselines: &[Option<f64>],
+    col: &mut [Option<bool>],
+    words: &mut [u64],
+) -> u64 {
+    words.fill(0);
+    let mut informative = 0;
+    for (k, t) in ts.enumerate() {
+        indicator_column(log, paths, t, cfg, baselines, col);
+        if col.first().is_some_and(Option::is_some) {
+            informative |= 1 << k;
+        }
+        for (word, &cell) in words.iter_mut().zip(col.iter()) {
+            *word |= u64::from(cell == Some(true)) << k;
         }
     }
-    out
+    informative
+}
+
+/// The intervals of a `len`-interval chunk in which every member row of a
+/// pathset is set: the popcount of the members' ANDed words.
+fn and_count(words: &[u64], rows: &[usize], len: usize) -> usize {
+    ones(rows.iter().fold(u64::MAX, |acc, &r| acc & words[r]), len)
+}
+
+/// The set bits of `w`, a word of a `len`-interval chunk (bits `len..`
+/// clear). A one-interval chunk — every streaming advance — is 0 or 1 and
+/// needs no popcount, which the baseline x86-64 target computes in
+/// software.
+fn ones(w: u64, len: usize) -> usize {
+    if len == 1 {
+        w as usize
+    } else {
+        w.count_ones() as usize
+    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Strategy: a random measurement log for `paths` paths over `t` intervals.
+/// Strategy: a random measurement log for `paths` paths over `t` intervals
+/// (up to 200, so the engine's folds span several 64-interval words and a
+/// window above 64 wraps its ring).
 fn log_strategy() -> impl Strategy<Value = MeasurementLog> {
-    (2usize..=4, 5usize..=40).prop_flat_map(|(paths, intervals)| {
+    (2usize..=4, 5usize..=200).prop_flat_map(|(paths, intervals)| {
         prop::collection::vec((0u64..500, 0.0..0.3f64), paths * intervals).prop_map(move |cells| {
             let mut log = MeasurementLog::new(paths, 0.1);
             for (idx, &(sent, loss_frac)) in cells.iter().enumerate() {
@@ -118,12 +120,18 @@ fn reference_ys(
 }
 
 /// Splits `from..=to` into a random sequence of advance targets (repeats
-/// allowed: an advance to the current watermark is a no-op).
+/// allowed: an advance to the current watermark is a no-op). About a third
+/// of the cuts snap to a multiple of 64 or one interval either side of it,
+/// where the engine's packed words begin and end.
 fn random_chunking(rng: &mut StdRng, from: usize, to: usize) -> Vec<usize> {
     let mut at = from;
     let mut cuts = Vec::new();
     while at < to {
-        at = rng.gen_range(at..=to);
+        let mut next = rng.gen_range(at..=to);
+        if rng.gen_bool(1.0 / 3.0) {
+            next = (next / 64 * 64 + rng.gen_range(63..=65usize)).clamp(at, to);
+        }
+        at = next;
         cuts.push(at);
     }
     cuts
@@ -134,9 +142,11 @@ proptest! {
 
     /// The Algorithm 2 engine equals the reference model: over arbitrary
     /// logs, shuffled and duplicated groups, random pathsets, any chunking
-    /// of the advances, an optional window, and a rebase followed by a
-    /// re-advance, `ys()` is `perf_from_counts(pathset_cf_counts(
-    /// group_indicators(..)))` over the same interval range.
+    /// of the advances (cuts on and off 64-interval word boundaries), no
+    /// window or one below, at, or above 64 intervals, and a rebase
+    /// followed by a re-advance, `ys()` is `perf_from_counts(
+    /// pathset_cf_counts(group_indicators(..)))` over the same interval
+    /// range.
     #[test]
     fn engine_matches_the_reference_model(log in log_strategy(), knobs in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(knobs);
@@ -147,7 +157,14 @@ proptest! {
             delay: None,
         };
         let slices = random_slices(&mut rng, log.path_count());
-        let window = rng.gen_bool(0.5).then(|| rng.gen_range(1..=t_max + 1));
+        // No window, or one below, at, or above the engine's 64-interval
+        // word; one above stays short enough to wrap in most logs.
+        let window = match rng.gen_range(0..4) {
+            0 => None,
+            1 => Some(rng.gen_range(1..64)),
+            2 => Some(64),
+            _ => Some(rng.gen_range(65..=100)),
+        };
         let mut engine = SlidingCounts::new(
             cfg,
             window,

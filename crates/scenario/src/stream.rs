@@ -7,9 +7,10 @@
 //! 1. a closed interval's congestion-free indicators are a deterministic
 //!    function of `(seed, interval, path)` alone, so computing them on
 //!    arrival equals computing them in a batch pass;
-//! 2. the per-pathset state is two integers (congestion-free and
-//!    informative interval counts) accumulated exactly once per interval —
-//!    integer addition in arrival order equals a whole-log fold;
+//! 2. the per-pathset state is two integers (its congestion-free interval
+//!    count and its group's informative interval count) accumulated
+//!    exactly once per interval — integer addition in arrival order equals
+//!    a whole-log fold;
 //! 3. the performance numbers and everything after them (pair estimates,
 //!    unsolvability, 2-means, redundancy removal) are pure functions
 //!    re-run from those integers through the *same* code path batch

@@ -1,0 +1,79 @@
+//! The slice plan at ISP scale against the pairwise reference.
+//!
+//! `enumerate_slices` groups path pairs by the AND of per-path link bitsets
+//! (`⌈L/64⌉` words per path). The generated `isp_200link` hierarchy has 240
+//! links (four words) and 1056 paths, so it reaches the multi-word masks
+//! that the parking-lot topologies of the core proptests never do. The
+//! reference here is the plain definition: every pair's `shared_links`
+//! grouped in a `BTreeMap` keyed by `τ`, and `Paths(τ)` as the paths that
+//! traverse every link of `τ`.
+
+use std::collections::BTreeMap;
+
+use nni_core::{enumerate_slices, Config, IdentifyPlan, Slice};
+use nni_topogen::{generate, IspParams};
+use nni_topology::{LinkSeq, PathId, Topology};
+
+/// Every `τ` with its path pairs in `(i, j)` enumeration order.
+fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<(PathId, PathId)>> {
+    let paths = topology.paths();
+    let mut groups: BTreeMap<LinkSeq, Vec<(PathId, PathId)>> = BTreeMap::new();
+    for i in 0..paths.len() {
+        for j in i + 1..paths.len() {
+            let shared = paths[i].shared_links(&paths[j]);
+            if !shared.is_empty() {
+                groups
+                    .entry(shared)
+                    .or_default()
+                    .push((paths[i].id(), paths[j].id()));
+            }
+        }
+    }
+    groups
+}
+
+/// `Paths(τ)` in id order.
+fn reference_group(topology: &Topology, tau: &LinkSeq) -> Vec<PathId> {
+    topology
+        .path_ids()
+        .filter(|&p| tau.links().iter().all(|&l| topology.path(p).traverses(l)))
+        .collect()
+}
+
+#[test]
+fn isp_plan_matches_the_pairwise_reference() {
+    let params = IspParams::isp_200link();
+    for seed in [3, 17] {
+        let topology = generate(&params, seed).topology;
+        assert_eq!(topology.link_count(), 240, "four mask words");
+        assert_eq!(topology.path_count(), 1056);
+        let reference = reference_slices(&topology);
+
+        let slices = enumerate_slices(&topology);
+        assert_eq!(slices.len(), reference.len(), "seed {seed}");
+        for (slice, (tau, pairs)) in slices.iter().zip(&reference) {
+            assert_eq!(&slice.tau, tau, "τ order, seed {seed}");
+            assert_eq!(&slice.pairs, pairs, "pair order of {tau:?}, seed {seed}");
+        }
+
+        let cfg = Config::clustered();
+        let plan = IdentifyPlan::new(&topology, &cfg);
+        let kept: Vec<_> = reference
+            .iter()
+            .filter(|(_, pairs)| pairs.len() >= cfg.min_pairs)
+            .collect();
+        assert_eq!(plan.slices().len(), kept.len(), "seed {seed}");
+        for (i, (slice, (tau, pairs))) in plan.slices().iter().zip(kept).enumerate() {
+            let want = Slice::new(tau.clone(), pairs.clone());
+            assert_eq!(slice.tau, want.tau, "seed {seed}");
+            assert_eq!(slice.pairs, want.pairs, "seed {seed}");
+            assert_eq!(slice.paths, want.paths, "seed {seed}");
+            assert_eq!(slice.pathsets, want.pathsets, "seed {seed}");
+            assert_eq!(
+                plan.group(i),
+                reference_group(&topology, tau),
+                "seed {seed}"
+            );
+        }
+    }
+}

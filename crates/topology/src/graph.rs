@@ -152,15 +152,17 @@ impl Topology {
         &self.paths_by_link[l.index()]
     }
 
-    /// `Paths(σ)`: ids of all paths that traverse *every* link of `seq`.
+    /// `Paths(σ)`: ids of all paths that traverse *every* link of `seq`,
+    /// sorted.
     pub fn paths_through_all(&self, seq: &[LinkId]) -> Vec<PathId> {
-        if seq.is_empty() {
+        let Some((&first, rest)) = seq.split_first() else {
             return (0..self.paths.len()).map(PathId).collect();
-        }
-        let mut out: Vec<PathId> = self.paths_through(seq[0]).to_vec();
-        for &l in &seq[1..] {
-            let through: HashSet<PathId> = self.paths_through(l).iter().copied().collect();
-            out.retain(|p| through.contains(p));
+        };
+        // Every `paths_by_link` list is sorted and deduplicated (`build`).
+        let mut out: Vec<PathId> = self.paths_through(first).to_vec();
+        for &l in rest {
+            let through = self.paths_through(l);
+            out.retain(|p| through.binary_search(p).is_ok());
         }
         out
     }
@@ -392,23 +394,32 @@ mod tests {
 
     #[test]
     fn paths_through_all_intersects() {
-        // Two hosts, two relays; p0 over l0,l1; p1 over l0,l2.
+        // Three hosts, two relays; p0 over l0,l1; p1 over l0,l2; p2 over
+        // l0,l3,l4 (through the second relay).
         let mut b = TopologyBuilder::new();
         let h0 = b.host("h0");
         let h1 = b.host("h1");
         let h2 = b.host("h2");
         let r = b.relay("r");
+        let r2 = b.relay("r2");
         let l0 = b.link("l0", h0, r).unwrap();
         let l1 = b.link("l1", r, h1).unwrap();
         let l2 = b.link("l2", r, h2).unwrap();
+        let l3 = b.link("l3", r, r2).unwrap();
+        let l4 = b.link("l4", r2, h2).unwrap();
         let p0 = b.path("p0", vec![l0, l1]).unwrap();
         let p1 = b.path("p1", vec![l0, l2]).unwrap();
+        let p2 = b.path("p2", vec![l0, l3, l4]).unwrap();
         let t = b.build();
-        assert_eq!(t.paths_through_all(&[l0]), vec![p0, p1]);
+        assert_eq!(t.paths_through_all(&[l0]), vec![p0, p1, p2]);
         assert_eq!(t.paths_through_all(&[l0, l1]), vec![p0]);
         assert_eq!(t.paths_through_all(&[l1, l2]), Vec::<PathId>::new());
+        assert_eq!(t.paths_through_all(&[l4, l0, l3]), vec![p2]);
+        assert_eq!(t.paths_through_all(&[l4, l1, l0]), Vec::<PathId>::new());
+        assert_eq!(t.paths_through_all(&[]), vec![p0, p1, p2]);
         assert!(t.distinguishable(l1, l2));
         assert!(t.distinguishable(l0, l1));
+        assert!(!t.distinguishable(l3, l4));
     }
 
     #[test]
