@@ -225,7 +225,7 @@ impl IdentifyPlan {
         self.slices
             .iter()
             .zip(&self.groups)
-            .map(|(s, g)| obs.observe_all(g, &s.pathsets))
+            .map(|(s, g)| obs.observe_all(g, s.theta()))
             .collect()
     }
 }

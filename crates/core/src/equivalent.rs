@@ -129,12 +129,13 @@ impl EquivalentNetwork {
         a
     }
 
-    /// Exact-mode oracle: the ground-truth performance number of a pathset,
-    /// `y_Θ = A⁺({Θ}) · x⁺`.
-    pub fn pathset_perf(&self, theta: &PathSet) -> f64 {
+    /// Exact-mode oracle: the ground-truth performance number of the
+    /// pathset with members `theta`, `y_Θ = A⁺({Θ}) · x⁺`.
+    pub fn pathset_perf(&self, theta: impl AsRef<[PathId]>) -> f64 {
+        let theta = theta.as_ref();
         self.links
             .iter()
-            .filter(|v| theta.paths().iter().any(|p| v.paths.contains(p)))
+            .filter(|v| theta.iter().any(|p| v.paths.contains(p)))
             .map(|v| v.perf)
             .sum()
     }
@@ -232,10 +233,10 @@ mod tests {
         let (t, classes, perf) = figure5_truth();
         let eq = EquivalentNetwork::build(&t.topology, &classes, &perf);
         let ln2 = (2.0_f64).ln();
-        let y1 = eq.pathset_perf(&PathSet::single(PathId(0)));
-        let y2 = eq.pathset_perf(&PathSet::single(PathId(1)));
-        let y3 = eq.pathset_perf(&PathSet::single(PathId(2)));
-        let y23 = eq.pathset_perf(&PathSet::pair(PathId(1), PathId(2)));
+        let y1 = eq.pathset_perf(PathSet::single(PathId(0)));
+        let y2 = eq.pathset_perf(PathSet::single(PathId(1)));
+        let y3 = eq.pathset_perf(PathSet::single(PathId(2)));
+        let y23 = eq.pathset_perf(PathSet::pair(PathId(1), PathId(2)));
         assert!(y1.abs() < 1e-12);
         assert!((y2 - ln2).abs() < 1e-12);
         assert!((y3 - ln2).abs() < 1e-12);

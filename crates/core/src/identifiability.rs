@@ -25,7 +25,7 @@ pub fn system4_unsolvable(
     tol: f64,
 ) -> bool {
     let group = normalization_group(topology, &slice.tau);
-    let y = obs.observe_all(&group, &slice.pathsets);
+    let y = obs.observe_all(&group, slice.theta());
     let a = slice.routing_matrix();
     let tol = tol.max(default_tolerance(&a.augment_col(&y)));
     !analyze(&a, &y, tol).is_consistent()

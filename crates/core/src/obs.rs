@@ -13,22 +13,32 @@
 //!   counts must be equalised, §6.2).
 
 use crate::equivalent::EquivalentNetwork;
-use nni_topology::{PathId, PathSet};
+use nni_topology::PathId;
 
 /// Source of pathset performance numbers.
+///
+/// A pathset is passed as its member list: anything that is
+/// `AsRef<[PathId]>`, so a [`PathSet`](nni_topology::PathSet) and the
+/// borrowed lists of [`Slice::theta`](crate::Slice::theta) are queried
+/// alike, and a slice's `Θ_τ` is observed without building a `PathSet`.
 pub trait Observations {
-    /// The performance number `y_Θ` of `pathset`, measured in the context of
-    /// a slice whose normalization group (`Paths(τ)`) is `group`.
+    /// The performance number `y_Θ` of the pathset with members `pathset`,
+    /// measured in the context of a slice whose normalization group
+    /// (`Paths(τ)`) is `group`.
     ///
     /// Exact sources ignore `group`; measured sources use it to equalise
     /// per-interval packet counts before thresholding (Algorithm 2).
-    fn pathset_perf(&self, group: &[PathId], pathset: &PathSet) -> f64;
+    fn pathset_perf(&self, group: &[PathId], pathset: impl AsRef<[PathId]>) -> f64;
 
     /// Observation vector for a whole slice: one `y` per pathset, aligned
     /// with the pathset order.
-    fn observe_all(&self, group: &[PathId], pathsets: &[PathSet]) -> Vec<f64> {
+    fn observe_all(
+        &self,
+        group: &[PathId],
+        pathsets: impl IntoIterator<Item = impl AsRef<[PathId]>>,
+    ) -> Vec<f64> {
         pathsets
-            .iter()
+            .into_iter()
             .map(|t| self.pathset_perf(group, t))
             .collect()
     }
@@ -53,7 +63,7 @@ impl ExactOracle {
 }
 
 impl Observations for ExactOracle {
-    fn pathset_perf(&self, _group: &[PathId], pathset: &PathSet) -> f64 {
+    fn pathset_perf(&self, _group: &[PathId], pathset: impl AsRef<[PathId]>) -> f64 {
         self.eq.pathset_perf(pathset)
     }
 }
@@ -64,6 +74,7 @@ mod tests {
     use crate::class::Classes;
     use crate::perf::{LinkPerf, NetworkPerf};
     use nni_topology::library::figure5;
+    use nni_topology::PathSet;
 
     #[test]
     fn exact_oracle_delegates_to_equivalent_network() {
@@ -75,7 +86,7 @@ mod tests {
         );
         let eq = EquivalentNetwork::build(&t.topology, &classes, &perf);
         let oracle = ExactOracle::new(eq);
-        let y = oracle.pathset_perf(&[], &PathSet::single(PathId(1)));
+        let y = oracle.pathset_perf(&[], PathSet::single(PathId(1)));
         assert!((y - 0.7).abs() < 1e-12);
         let ys = oracle.observe_all(
             &[],

@@ -13,10 +13,18 @@
 //! The slice's key property (§4.1): once `Θ_τ` is fixed, the rest of the
 //! topology is irrelevant — only the performance numbers of the paths and
 //! path pairs in `Θ_τ` enter the system.
+//!
+//! `Θ_τ` is fully determined by the pairs, so a [`Slice`] holds no
+//! `PathSet`s: [`Slice::theta`] lends each pathset's member list out of the
+//! slice's own `paths` and pairs. Algorithm 2 (`nni-measure`'s
+//! `SlidingCounts`) and every [`Observations`](crate::Observations) source
+//! take those lists as they are, so a plan of ~100k pathsets is built,
+//! observed and dropped without a heap allocation per pathset.
 
 use nni_linalg::Matrix;
-use nni_topology::{LinkId, LinkSeq, PathId, PathSet, Topology};
+use nni_topology::{LinkId, LinkSeq, PathId, Topology};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The slice for one candidate link sequence `τ`.
 #[derive(Debug, Clone)]
@@ -28,9 +36,10 @@ pub struct Slice {
     /// The distinct paths participating in pairs (sorted) — the logical
     /// `δ_p` link index space.
     pub paths: Vec<PathId>,
-    /// `Θ_τ`: the individual paths first (aligned with `paths`), then the
-    /// pairs (aligned with `pairs`).
-    pub pathsets: Vec<PathSet>,
+    /// Each pair's members, sorted (aligned with `pairs`).
+    members: Vec<[PathId; 2]>,
+    /// Each pair's two indices into `paths`, in `pairs` order.
+    rows: Vec<[usize; 2]>,
 }
 
 impl Slice {
@@ -38,26 +47,54 @@ impl Slice {
     ///
     /// # Panics
     /// Panics when `pairs` is empty (an empty `Θ_τ` means `τ` cannot be
-    /// reasoned about, like `⟨l2⟩` in Figure 4).
+    /// reasoned about, like `⟨l2⟩` in Figure 4), or when a pair repeats a
+    /// path.
     pub fn new(tau: LinkSeq, pairs: Vec<(PathId, PathId)>) -> Slice {
         assert!(!pairs.is_empty(), "a slice needs at least one path pair");
-        let mut paths: Vec<PathId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-        paths.sort();
-        paths.dedup();
-        let mut pathsets: Vec<PathSet> = paths.iter().map(|&p| PathSet::single(p)).collect();
-        pathsets.extend(pairs.iter().map(|&(a, b)| PathSet::pair(a, b)));
+        // The participating paths as a bitset over path ids: `paths` is its
+        // set bits in order, and a path's row is its rank among them.
+        let top = pairs.iter().map(|&(a, b)| a.max(b).index()).max();
+        let mut bits = vec![0u64; (top.unwrap_or(0) + 1).div_ceil(64)];
+        for &(a, b) in &pairs {
+            assert_ne!(a, b, "a pair needs two distinct paths");
+            for p in [a, b] {
+                bits[p.index() / 64] |= 1 << (p.index() % 64);
+            }
+        }
+        let mut paths = Vec::new();
+        let mut rank = Vec::with_capacity(bits.len());
+        for (w, &word) in bits.iter().enumerate() {
+            rank.push(paths.len());
+            paths.extend(set_bits(word).map(|b| PathId(w * 64 + b)));
+        }
+        let row = |p: PathId| {
+            let (w, b) = (p.index() / 64, p.index() % 64);
+            rank[w] + (bits[w] & ((1 << b) - 1)).count_ones() as usize
+        };
+        let members = pairs.iter().map(|&(a, b)| [a.min(b), a.max(b)]).collect();
+        let rows = pairs.iter().map(|&(a, b)| [row(a), row(b)]).collect();
         Slice {
             tau,
             pairs,
             paths,
-            pathsets,
+            members,
+            rows,
         }
+    }
+
+    /// `Θ_τ` as member lists: each path of `paths` as a singleton, then
+    /// each pair of `pairs` with its two members sorted. This is the row
+    /// order of [`routing_matrix`](Slice::routing_matrix) and of every
+    /// observation vector `y`.
+    pub fn theta(&self) -> impl Iterator<Item = &[PathId]> {
+        let singles = self.paths.iter().map(std::slice::from_ref);
+        singles.chain(self.members.iter().map(|m| &m[..]))
     }
 
     /// `|Θ_τ|` — Algorithm 1 keeps slices with at least 5 pathsets, which is
     /// equivalent to at least 2 path pairs.
     pub fn pathset_count(&self) -> usize {
-        self.pathsets.len()
+        self.paths.len() + self.pairs.len()
     }
 
     /// Number of path pairs.
@@ -68,48 +105,38 @@ impl Slice {
     /// The routing matrix `A_τ(Θ_τ)` of the slice graph.
     ///
     /// Column 0 is the logical link `τ`; column `1 + i` is the logical link
-    /// `δ_{p}` for `self.paths[i]`. Row order matches `self.pathsets`.
+    /// `δ_{p}` for `self.paths[i]`. Row order matches [`theta`](Slice::theta).
     pub fn routing_matrix(&self) -> Matrix {
-        let cols = 1 + self.paths.len();
-        let mut a = Matrix::zeros(self.pathsets.len(), cols);
-        let col_of = |p: PathId| -> usize {
-            1 + self
-                .paths
-                .binary_search(&p)
-                .expect("pathsets reference known paths")
-        };
-        for (i, theta) in self.pathsets.iter().enumerate() {
+        let singles = self.paths.len();
+        let mut a = Matrix::zeros(self.pathset_count(), 1 + singles);
+        for i in 0..self.pathset_count() {
             a[(i, 0)] = 1.0; // every pathset crosses τ by construction
-            for &p in theta.paths() {
-                a[(i, col_of(p))] = 1.0;
+        }
+        for i in 0..singles {
+            a[(i, 1 + i)] = 1.0;
+        }
+        for (k, rows) in self.rows.iter().enumerate() {
+            for &r in rows {
+                a[(singles + k, 1 + r)] = 1.0;
             }
         }
         a
     }
 
     /// Per-pair estimate of `x_τ` from an observation vector `y` aligned with
-    /// `self.pathsets`: the unique solution of the pair's 3-equation
+    /// [`theta`](Slice::theta): the unique solution of the pair's 3-equation
     /// sub-system is `x_τ = y_i + y_j − y_{ij}` (Appendix, Equation 14).
     pub fn pair_estimates(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(
             y.len(),
-            self.pathsets.len(),
+            self.pathset_count(),
             "observation vector misaligned"
         );
-        let idx_of = |p: PathId| -> usize {
-            self.paths
-                .binary_search(&p)
-                .expect("pairs reference known paths")
-        };
-        self.pairs
+        let (singles, pairs) = y.split_at(self.paths.len());
+        self.rows
             .iter()
-            .enumerate()
-            .map(|(k, &(a, b))| {
-                let yi = y[idx_of(a)];
-                let yj = y[idx_of(b)];
-                let yij = y[self.paths.len() + k];
-                yi + yj - yij
-            })
+            .zip(pairs)
+            .map(|(&[i, j], yij)| singles[i] + singles[j] - yij)
             .collect()
     }
 
@@ -128,6 +155,41 @@ pub(crate) fn spread(estimates: &[f64]) -> f64 {
     (max - min).max(0.0)
 }
 
+/// The indices of the set bits of `word`, in increasing order.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// Hashes a link mask a word at a time (the FxHash step), in place of
+/// SipHash, which cost most of a lookup. Colliding masks could only slow
+/// the grouping, never change it: equal hashes still compare the masks.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Enumerates every candidate slice of the network: path pairs are grouped
 /// by their shared link set (Algorithm 1, lines 2–8). Pairs sharing nothing
 /// are skipped. Slices are returned sorted by `τ` for determinism, each
@@ -135,43 +197,71 @@ pub(crate) fn spread(estimates: &[f64]) -> f64 {
 ///
 /// Each path's links are a bitset of `⌈L/64⌉` words, so a pair's shared
 /// links are the AND of two bitsets, and pairs group under those words.
+/// Each link's paths are a bitset too: the OR of path `i`'s link rows,
+/// above bit `i`, is exactly the paths `j > i` that share a link with it,
+/// so pairs that share nothing are never visited.
 pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
     let paths = topology.paths();
     let words = topology.link_count().div_ceil(64);
+    let path_words = paths.len().div_ceil(64);
     let mut masks = vec![0u64; paths.len() * words];
-    for (mask, path) in masks.chunks_exact_mut(words).zip(paths) {
+    let mut on_link = vec![0u64; topology.link_count() * path_words];
+    for (i, (mask, path)) in masks.chunks_exact_mut(words).zip(paths).enumerate() {
         for l in path.links() {
             mask[l.index() / 64] |= 1 << (l.index() % 64);
+            on_link[l.index() * path_words + i / 64] |= 1 << (i % 64);
         }
     }
     let mask = |i: usize| &masks[i * words..(i + 1) * words];
-    let mut groups: HashMap<Vec<u64>, Vec<(PathId, PathId)>> = HashMap::new();
+    let mut index: HashMap<Vec<u64>, usize, BuildHasherDefault<MaskHasher>> = HashMap::default();
+    let mut groups: Vec<Vec<(PathId, PathId)>> = Vec::new();
     let mut shared = vec![0u64; words];
-    for i in 0..paths.len() {
-        for j in i + 1..paths.len() {
-            for ((s, a), b) in shared.iter_mut().zip(mask(i)).zip(mask(j)) {
-                *s = a & b;
+    // The previous pair's mask and group: consecutive pairs of one path
+    // often share the same links. The mask starts all-zero, which no
+    // visited pair has (it shares a link).
+    let (mut last_mask, mut last) = (vec![0u64; words], 0);
+    let mut partners = vec![0u64; path_words];
+    for (i, path) in paths.iter().enumerate() {
+        partners.fill(0);
+        for l in path.links() {
+            let row = &on_link[l.index() * path_words..(l.index() + 1) * path_words];
+            for (p, r) in partners.iter_mut().zip(row) {
+                *p |= r;
             }
-            if shared.iter().all(|&w| w == 0) {
-                continue;
-            }
-            let pair = (paths[i].id(), paths[j].id());
-            match groups.get_mut(shared.as_slice()) {
-                Some(pairs) => pairs.push(pair),
-                None => {
-                    groups.insert(shared.clone(), vec![pair]);
+        }
+        // Keep only `j > i`.
+        partners[..i / 64].fill(0);
+        partners[i / 64] &= (u64::MAX << (i % 64)) << 1;
+        for (w, &word) in partners.iter().enumerate() {
+            for bit in set_bits(word) {
+                let j = w * 64 + bit;
+                for ((s, a), b) in shared.iter_mut().zip(mask(i)).zip(mask(j)) {
+                    *s = a & b;
                 }
+                if last_mask != shared {
+                    last = match index.get(shared.as_slice()) {
+                        Some(&g) => g,
+                        None => {
+                            groups.push(Vec::new());
+                            index.insert(shared.clone(), groups.len() - 1);
+                            groups.len() - 1
+                        }
+                    };
+                    last_mask.copy_from_slice(&shared);
+                }
+                groups[last].push((path.id(), paths[j].id()));
             }
         }
     }
-    let mut slices: Vec<Slice> = groups
+    let mut slices: Vec<Slice> = index
         .into_iter()
-        .map(|(shared, pairs)| {
-            let links = (0..words * 64)
-                .filter(|&l| shared[l / 64] >> (l % 64) & 1 == 1)
-                .map(LinkId)
+        .map(|(shared, g)| {
+            let links = shared
+                .iter()
+                .enumerate()
+                .flat_map(|(w, &word)| set_bits(word).map(move |b| LinkId(w * 64 + b)))
                 .collect();
-            Slice::new(LinkSeq::new(links), pairs)
+            Slice::new(LinkSeq::new(links), std::mem::take(&mut groups[g]))
         })
         .collect();
     slices.sort_by(|a, b| a.tau.cmp(&b.tau));
@@ -335,5 +425,22 @@ mod tests {
     #[should_panic(expected = "at least one path pair")]
     fn empty_slice_rejected() {
         Slice::new(LinkSeq::single(LinkId(0)), vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn self_pair_rejected() {
+        Slice::new(LinkSeq::single(LinkId(0)), vec![(PathId(2), PathId(2))]);
+    }
+
+    #[test]
+    fn reversed_pair_sorts_its_members() {
+        let tau = LinkSeq::single(LinkId(0));
+        let (p1, p3) = (PathId(1), PathId(3));
+        let forward = Slice::new(tau.clone(), vec![(p1, p3)]);
+        let reversed = Slice::new(tau, vec![(p3, p1)]);
+        let theta: Vec<&[PathId]> = reversed.theta().collect();
+        assert_eq!(theta, [&[p1][..], &[p3], &[p1, p3]]);
+        assert_eq!(reversed.routing_matrix(), forward.routing_matrix());
     }
 }

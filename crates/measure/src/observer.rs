@@ -10,7 +10,7 @@ use crate::normalize::NormalizeConfig;
 use crate::record::MeasurementLog;
 use crate::stream::SlidingCounts;
 use nni_core::Observations;
-use nni_topology::{PathId, PathSet};
+use nni_topology::PathId;
 
 /// Measured observation source.
 pub struct MeasuredObservations<'a> {
@@ -26,11 +26,15 @@ impl<'a> MeasuredObservations<'a> {
 }
 
 impl Observations for MeasuredObservations<'_> {
-    fn pathset_perf(&self, group: &[PathId], pathset: &PathSet) -> f64 {
-        self.observe_all(group, std::slice::from_ref(pathset))[0]
+    fn pathset_perf(&self, group: &[PathId], pathset: impl AsRef<[PathId]>) -> f64 {
+        self.observe_all(group, [pathset])[0]
     }
 
-    fn observe_all(&self, group: &[PathId], pathsets: &[PathSet]) -> Vec<f64> {
+    fn observe_all(
+        &self,
+        group: &[PathId],
+        pathsets: impl IntoIterator<Item = impl AsRef<[PathId]>>,
+    ) -> Vec<f64> {
         let mut counts = SlidingCounts::new(self.cfg, None, [(group, pathsets)]);
         counts.advance(self.log, self.log.interval_count());
         counts.ys().pop().expect("one slice")
@@ -40,6 +44,7 @@ impl Observations for MeasuredObservations<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nni_topology::PathSet;
 
     /// Builds a log in which paths 0 and 1 congest together in 25% of
     /// intervals and path 2 never congests.
@@ -62,9 +67,9 @@ mod tests {
         let log = correlated_log();
         let obs = MeasuredObservations::new(&log, NormalizeConfig::default());
         let group = [PathId(0), PathId(1), PathId(2)];
-        let y0 = obs.pathset_perf(&group, &PathSet::single(PathId(0)));
+        let y0 = obs.pathset_perf(&group, PathSet::single(PathId(0)));
         assert!((y0 + (0.75f64).ln()).abs() < 1e-9, "y0 = {y0}");
-        let y2 = obs.pathset_perf(&group, &PathSet::single(PathId(2)));
+        let y2 = obs.pathset_perf(&group, PathSet::single(PathId(2)));
         assert_eq!(y2, 0.0);
     }
 
@@ -75,11 +80,11 @@ mod tests {
         let log = correlated_log();
         let obs = MeasuredObservations::new(&log, NormalizeConfig::default());
         let group = [PathId(0), PathId(1), PathId(2)];
-        let y0 = obs.pathset_perf(&group, &PathSet::single(PathId(0)));
-        let y01 = obs.pathset_perf(&group, &PathSet::pair(PathId(0), PathId(1)));
+        let y0 = obs.pathset_perf(&group, PathSet::single(PathId(0)));
+        let y01 = obs.pathset_perf(&group, PathSet::pair(PathId(0), PathId(1)));
         assert!((y01 - y0).abs() < 1e-9);
         // And pairing with the clean path adds nothing.
-        let y02 = obs.pathset_perf(&group, &PathSet::pair(PathId(0), PathId(2)));
+        let y02 = obs.pathset_perf(&group, PathSet::pair(PathId(0), PathId(2)));
         assert!((y02 - y0).abs() < 1e-9);
     }
 

@@ -26,7 +26,7 @@ use std::ops::Range;
 
 use crate::normalize::{indicator_column, perf_from_counts, NormalizeConfig};
 use crate::record::MeasurementLog;
-use nni_topology::{PathId, PathSet};
+use nni_topology::PathId;
 
 /// Why a streaming append was refused.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,25 +188,34 @@ pub struct SlidingCounts {
 }
 
 impl SlidingCounts {
-    /// Counters for `slices`, each a normalization group with the pathsets
-    /// measured in its context. Identical groups (as path sets) are
-    /// evaluated once per interval. With a `window`, the counters cover
-    /// only the last `window` consumed intervals.
+    /// Counters for `slices`, each a normalization group with the member
+    /// lists of the pathsets measured in its context (a slice's
+    /// `Slice::theta`, or any `AsRef<[PathId]>` such as `&PathSet`).
+    /// Identical groups (as path sets) are evaluated once per interval.
+    /// With a `window`, the counters cover only the last `window` consumed
+    /// intervals.
     ///
     /// # Panics
     ///
     /// Panics on a zero window, an empty pathset, or a pathset member
     /// outside its group.
-    pub fn new<'a>(
+    pub fn new<'a, S>(
         cfg: NormalizeConfig,
         window: Option<usize>,
-        slices: impl IntoIterator<Item = (&'a [PathId], &'a [PathSet])>,
-    ) -> SlidingCounts {
+        slices: impl IntoIterator<Item = (&'a [PathId], S)>,
+    ) -> SlidingCounts
+    where
+        S: IntoIterator,
+        S::Item: AsRef<[PathId]>,
+    {
         assert_ne!(window, Some(0), "window must be non-empty");
         let row_words = window.map_or(0, |w| w.div_ceil(64));
         let mut index: HashMap<Vec<PathId>, usize> = HashMap::new();
         let mut groups: Vec<GroupState> = Vec::new();
         let mut layout = Vec::new();
+        // Path id -> row in the group being registered, `None` elsewhere:
+        // filled from the group's paths before its pathsets, cleared after.
+        let mut row_of: Vec<Option<usize>> = Vec::new();
         for (group, pathsets) in slices {
             let mut paths = group.to_vec();
             paths.sort();
@@ -222,19 +231,31 @@ impl SlidingCounts {
                 groups.len() - 1
             });
             let g = &mut groups[gid];
+            if let Some(top) = g.paths.last() {
+                row_of.resize(row_of.len().max(top.index() + 1), None);
+            }
+            for (r, p) in g.paths.iter().enumerate() {
+                row_of[p.index()] = Some(r);
+            }
             let start = g.sets.len();
             for pathset in pathsets {
+                let pathset = pathset.as_ref();
                 assert!(!pathset.is_empty(), "pathsets are non-empty");
                 let from = g.members.len();
-                g.members.extend(pathset.paths().iter().map(|p| {
-                    g.paths
-                        .binary_search(p)
+                g.members.extend(pathset.iter().map(|p| {
+                    row_of
+                        .get(p.index())
+                        .copied()
+                        .flatten()
                         .expect("pathset members must belong to the normalization group")
                 }));
                 g.sets.push(SetState {
                     members: from..g.members.len(),
                     cf: 0,
                 });
+            }
+            for p in &g.paths {
+                row_of[p.index()] = None;
             }
             layout.push((gid, start..g.sets.len()));
         }
@@ -418,6 +439,7 @@ fn ones(w: u64, len: usize) -> usize {
 mod tests {
     use super::*;
     use crate::normalize::{group_indicators, pathset_cf_counts};
+    use nni_topology::PathSet;
 
     fn lossy_log(t_max: usize) -> MeasurementLog {
         let mut log = MeasurementLog::new(3, 0.1);
@@ -547,6 +569,28 @@ mod tests {
         let sets = [PathSet::single(PathId(0))];
         let mut inc = SlidingCounts::new(cfg, None, [(&group[..], &sets[..])]);
         inc.advance(&log, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "pathset members must belong to the normalization group")]
+    fn member_above_the_group_is_rejected() {
+        let group = [PathId(0), PathId(2)];
+        let sets = [PathSet::pair(PathId(0), PathId(9))];
+        SlidingCounts::new(NormalizeConfig::default(), None, [(&group[..], &sets[..])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pathset members must belong to the normalization group")]
+    fn member_between_group_paths_is_rejected() {
+        // The first slice's group holds path 1; the second's does not.
+        let wide = [PathId(0), PathId(1), PathId(2)];
+        let narrow = [PathId(0), PathId(2)];
+        let sets = [PathSet::single(PathId(1))];
+        SlidingCounts::new(
+            NormalizeConfig::default(),
+            None,
+            [(&wide[..], &sets[..]), (&narrow[..], &sets[..])],
+        );
     }
 
     #[test]

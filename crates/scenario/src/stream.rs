@@ -37,7 +37,7 @@ pub(crate) fn plan_counts(
         .slices()
         .iter()
         .enumerate()
-        .map(|(i, s)| (plan.group(i), s.pathsets.as_slice()));
+        .map(|(i, s)| (plan.group(i), s.theta()));
     SlidingCounts::new(cfg, window, slices)
 }
 

@@ -5,14 +5,15 @@
 //! links (four words) and 1056 paths, so it reaches the multi-word masks
 //! that the parking-lot topologies of the core proptests never do. The
 //! reference here is the plain definition: every pair's `shared_links`
-//! grouped in a `BTreeMap` keyed by `τ`, and `Paths(τ)` as the paths that
-//! traverse every link of `τ`.
+//! grouped in a `BTreeMap` keyed by `τ`, `Paths(τ)` as the paths that
+//! traverse every link of `τ`, and `Θ_τ` as one `PathSet` per pathset with
+//! pair estimates found by `binary_search`.
 
 use std::collections::BTreeMap;
 
 use nni_core::{enumerate_slices, Config, IdentifyPlan, Slice};
 use nni_topogen::{generate, IspParams};
-use nni_topology::{LinkSeq, PathId, Topology};
+use nni_topology::{LinkSeq, PathId, PathSet, Topology};
 
 /// Every `τ` with its path pairs in `(i, j)` enumeration order.
 fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<(PathId, PathId)>> {
@@ -30,6 +31,28 @@ fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<(PathId, PathI
         }
     }
     groups
+}
+
+/// `Θ_τ` of a slice with these pairs: the sorted distinct paths as
+/// singletons, then the pairs, and the sorted paths themselves.
+fn reference_theta(pairs: &[(PathId, PathId)]) -> (Vec<PathId>, Vec<PathSet>) {
+    let mut paths: Vec<PathId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+    paths.sort();
+    paths.dedup();
+    let mut theta: Vec<PathSet> = paths.iter().map(|&p| PathSet::single(p)).collect();
+    theta.extend(pairs.iter().map(|&(a, b)| PathSet::pair(a, b)));
+    (paths, theta)
+}
+
+/// Equation 14 per pair, `y_i + y_j − y_ij`, with `i` and `j` found by
+/// `binary_search` in the sorted paths.
+fn reference_estimates(paths: &[PathId], pairs: &[(PathId, PathId)], y: &[f64]) -> Vec<f64> {
+    let idx = |p: &PathId| paths.binary_search(p).expect("pairs reference known paths");
+    pairs
+        .iter()
+        .enumerate()
+        .map(|(k, (a, b))| y[idx(a)] + y[idx(b)] - y[paths.len() + k])
+        .collect()
 }
 
 /// `Paths(τ)` in id order.
@@ -68,7 +91,19 @@ fn isp_plan_matches_the_pairwise_reference() {
             assert_eq!(slice.tau, want.tau, "seed {seed}");
             assert_eq!(slice.pairs, want.pairs, "seed {seed}");
             assert_eq!(slice.paths, want.paths, "seed {seed}");
-            assert_eq!(slice.pathsets, want.pathsets, "seed {seed}");
+            let (paths, theta) = reference_theta(pairs);
+            assert_eq!(slice.paths, paths, "seed {seed}");
+            assert_eq!(slice.pathset_count(), theta.len(), "seed {seed}");
+            assert_eq!(slice.theta().count(), theta.len(), "seed {seed}");
+            for (k, (got, want)) in slice.theta().zip(&theta).enumerate() {
+                assert_eq!(got, want.paths(), "Θ row {k} of {tau:?}, seed {seed}");
+            }
+            let y: Vec<f64> = (0..theta.len()).map(|k| (k as f64 + 2.0).ln()).collect();
+            assert_eq!(
+                slice.pair_estimates(&y),
+                reference_estimates(&paths, pairs, &y),
+                "seed {seed}"
+            );
             assert_eq!(
                 plan.group(i),
                 reference_group(&topology, tau),

@@ -73,6 +73,12 @@ impl PathSet {
     }
 }
 
+impl AsRef<[PathId]> for PathSet {
+    fn as_ref(&self) -> &[PathId] {
+        &self.paths
+    }
+}
+
 impl std::fmt::Display for PathSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.render())

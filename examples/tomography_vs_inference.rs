@@ -102,8 +102,8 @@ fn main() {
     // Bonus: the pathset correlations that make it work (§3.3, observable
     // violation #2): p3 and p4 congest *together*.
     let (p3, p4) = (PathId(2), PathId(3));
-    let y3 = oracle.pathset_perf(&[], &netneutrality::topology::PathSet::single(p3));
-    let y34 = oracle.pathset_perf(&[], &netneutrality::topology::PathSet::pair(p3, p4));
+    let y3 = oracle.pathset_perf(&[], netneutrality::topology::PathSet::single(p3));
+    let y34 = oracle.pathset_perf(&[], netneutrality::topology::PathSet::pair(p3, p4));
     println!(
         "\nthe giveaway correlation: y({{p3}}) = {y3:.3} equals y({{p3,p4}}) = {y34:.3}\n\
          — the throttled paths always congest in the same intervals."

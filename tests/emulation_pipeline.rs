@@ -85,9 +85,9 @@ fn throttled_paths_congest_jointly() {
     let report = run_dumbbell(Some(0.2), 20.0, 3);
     let obs = MeasuredObservations::new(&report.log, NormalizeConfig::default());
     let group: Vec<PathId> = (0..4).map(PathId).collect();
-    let y3 = obs.pathset_perf(&group, &PathSet::single(PathId(2)));
-    let y4 = obs.pathset_perf(&group, &PathSet::single(PathId(3)));
-    let y34 = obs.pathset_perf(&group, &PathSet::pair(PathId(2), PathId(3)));
+    let y3 = obs.pathset_perf(&group, PathSet::single(PathId(2)));
+    let y4 = obs.pathset_perf(&group, PathSet::single(PathId(3)));
+    let y34 = obs.pathset_perf(&group, PathSet::pair(PathId(2), PathId(3)));
     assert!(y3 > 0.1 && y4 > 0.1, "both policed paths congested");
     let independent = y3 + y4;
     assert!(
