@@ -83,7 +83,7 @@ fn main() {
         "path pairs sharing exactly ⟨l1⟩: {:?}",
         s.pairs
             .iter()
-            .map(|(a, b)| format!("{{{a},{b}}}"))
+            .map(|[a, b]| format!("{{{a},{b}}}"))
             .collect::<Vec<_>>()
     );
     println!("|Θ_τ| = {} pathsets (paper: 7)", s.pathset_count());

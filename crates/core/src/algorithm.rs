@@ -265,7 +265,10 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
             .pairs
             .iter()
             .zip(pair_estimates)
-            .map(|(&pair, estimate)| PairEstimate { pair, estimate })
+            .map(|(&[a, b], estimate)| PairEstimate {
+                pair: (a, b),
+                estimate,
+            })
             .collect();
         let exact_unsolvable = match cfg.mode {
             DecisionMode::Exact { tol } => {

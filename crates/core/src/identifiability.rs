@@ -45,9 +45,7 @@ pub fn lemma3_condition(slice: &Slice, classes: &Classes, top_class: usize) -> b
             continue;
         }
         let members = classes.members(n);
-        let inside = |&(a, b): &(nni_topology::PathId, nni_topology::PathId)| {
-            members.contains(&a) && members.contains(&b)
-        };
+        let inside = |pair: &[nni_topology::PathId; 2]| pair.iter().all(|p| members.contains(p));
         let has_inside = slice.pairs.iter().any(inside);
         let has_outside = slice.pairs.iter().any(|p| !inside(p));
         if has_inside && has_outside {

@@ -31,35 +31,36 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub struct Slice {
     /// The candidate link sequence.
     pub tau: LinkSeq,
-    /// Path pairs whose shared links are exactly `τ`.
-    pub pairs: Vec<(PathId, PathId)>,
+    /// Path pairs whose shared links are exactly `τ`, each with its two
+    /// members sorted.
+    pub pairs: Vec<[PathId; 2]>,
     /// The distinct paths participating in pairs (sorted) — the logical
     /// `δ_p` link index space.
     pub paths: Vec<PathId>,
-    /// Each pair's members, sorted (aligned with `pairs`).
-    members: Vec<[PathId; 2]>,
     /// Each pair's two indices into `paths`, in `pairs` order.
     rows: Vec<[usize; 2]>,
 }
 
 impl Slice {
-    /// Builds the slice for `tau` given its path pairs.
+    /// Builds the slice for `tau` given its path pairs, sorting each pair's
+    /// two members.
     ///
     /// # Panics
     /// Panics when `pairs` is empty (an empty `Θ_τ` means `τ` cannot be
     /// reasoned about, like `⟨l2⟩` in Figure 4), or when a pair repeats a
     /// path.
-    pub fn new(tau: LinkSeq, pairs: Vec<(PathId, PathId)>) -> Slice {
+    pub fn new(tau: LinkSeq, mut pairs: Vec<[PathId; 2]>) -> Slice {
         assert!(!pairs.is_empty(), "a slice needs at least one path pair");
+        for pair in &mut pairs {
+            assert_ne!(pair[0], pair[1], "a pair needs two distinct paths");
+            pair.sort();
+        }
         // The participating paths as a bitset over path ids: `paths` is its
         // set bits in order, and a path's row is its rank among them.
-        let top = pairs.iter().map(|&(a, b)| a.max(b).index()).max();
+        let top = pairs.iter().map(|&[_, b]| b.index()).max();
         let mut bits = vec![0u64; (top.unwrap_or(0) + 1).div_ceil(64)];
-        for &(a, b) in &pairs {
-            assert_ne!(a, b, "a pair needs two distinct paths");
-            for p in [a, b] {
-                bits[p.index() / 64] |= 1 << (p.index() % 64);
-            }
+        for p in pairs.iter().flatten() {
+            bits[p.index() / 64] |= 1 << (p.index() % 64);
         }
         let mut paths = Vec::new();
         let mut rank = Vec::with_capacity(bits.len());
@@ -71,24 +72,22 @@ impl Slice {
             let (w, b) = (p.index() / 64, p.index() % 64);
             rank[w] + (bits[w] & ((1 << b) - 1)).count_ones() as usize
         };
-        let members = pairs.iter().map(|&(a, b)| [a.min(b), a.max(b)]).collect();
-        let rows = pairs.iter().map(|&(a, b)| [row(a), row(b)]).collect();
+        let rows = pairs.iter().map(|&[a, b]| [row(a), row(b)]).collect();
         Slice {
             tau,
             pairs,
             paths,
-            members,
             rows,
         }
     }
 
     /// `Θ_τ` as member lists: each path of `paths` as a singleton, then
-    /// each pair of `pairs` with its two members sorted. This is the row
-    /// order of [`routing_matrix`](Slice::routing_matrix) and of every
-    /// observation vector `y`.
+    /// each pair of `pairs`. This is the row order of
+    /// [`routing_matrix`](Slice::routing_matrix) and of every observation
+    /// vector `y`.
     pub fn theta(&self) -> impl Iterator<Item = &[PathId]> {
         let singles = self.paths.iter().map(std::slice::from_ref);
-        singles.chain(self.members.iter().map(|m| &m[..]))
+        singles.chain(self.pairs.iter().map(|pair| &pair[..]))
     }
 
     /// `|Θ_τ|` — Algorithm 1 keeps slices with at least 5 pathsets, which is
@@ -214,12 +213,8 @@ pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
     }
     let mask = |i: usize| &masks[i * words..(i + 1) * words];
     let mut index: HashMap<Vec<u64>, usize, BuildHasherDefault<MaskHasher>> = HashMap::default();
-    let mut groups: Vec<Vec<(PathId, PathId)>> = Vec::new();
+    let mut groups: Vec<Vec<[PathId; 2]>> = Vec::new();
     let mut shared = vec![0u64; words];
-    // The previous pair's mask and group: consecutive pairs of one path
-    // often share the same links. The mask starts all-zero, which no
-    // visited pair has (it shares a link).
-    let (mut last_mask, mut last) = (vec![0u64; words], 0);
     let mut partners = vec![0u64; path_words];
     for (i, path) in paths.iter().enumerate() {
         partners.fill(0);
@@ -238,18 +233,15 @@ pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
                 for ((s, a), b) in shared.iter_mut().zip(mask(i)).zip(mask(j)) {
                     *s = a & b;
                 }
-                if last_mask != shared {
-                    last = match index.get(shared.as_slice()) {
-                        Some(&g) => g,
-                        None => {
-                            groups.push(Vec::new());
-                            index.insert(shared.clone(), groups.len() - 1);
-                            groups.len() - 1
-                        }
-                    };
-                    last_mask.copy_from_slice(&shared);
-                }
-                groups[last].push((path.id(), paths[j].id()));
+                let g = match index.get(shared.as_slice()) {
+                    Some(&g) => g,
+                    None => {
+                        groups.push(Vec::new());
+                        index.insert(shared.clone(), groups.len() - 1);
+                        groups.len() - 1
+                    }
+                };
+                groups[g].push([path.id(), paths[j].id()]);
             }
         }
     }
@@ -303,7 +295,7 @@ mod tests {
         // ⟨l1⟩ has the pairs {p1,p4}, {p2,p4}, {p3,p4} (paths 0-indexed).
         let s1 = slice_for(g, &LinkSeq::single(l1)).unwrap();
         assert_eq!(s1.pair_count(), 3);
-        assert!(s1.pairs.iter().all(|&(_, b)| b == PathId(3)));
+        assert!(s1.pairs.iter().all(|&[_, b]| b == PathId(3)));
         // Θ_⟨l1⟩ = 4 singletons + 3 pairs = 7 pathsets (§4.1).
         assert_eq!(s1.pathset_count(), 7);
 
@@ -351,7 +343,7 @@ mod tests {
         for (i, _) in s.paths.iter().enumerate() {
             y.push(x_tau + deltas[i]);
         }
-        for &(a, b) in &s.pairs {
+        for &[a, b] in &s.pairs {
             let ia = s.paths.binary_search(&a).unwrap();
             let ib = s.paths.binary_search(&b).unwrap();
             y.push(x_tau + deltas[ia] + deltas[ib]);
@@ -430,15 +422,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct")]
     fn self_pair_rejected() {
-        Slice::new(LinkSeq::single(LinkId(0)), vec![(PathId(2), PathId(2))]);
+        Slice::new(LinkSeq::single(LinkId(0)), vec![[PathId(2), PathId(2)]]);
     }
 
     #[test]
     fn reversed_pair_sorts_its_members() {
         let tau = LinkSeq::single(LinkId(0));
         let (p1, p3) = (PathId(1), PathId(3));
-        let forward = Slice::new(tau.clone(), vec![(p1, p3)]);
-        let reversed = Slice::new(tau, vec![(p3, p1)]);
+        let forward = Slice::new(tau.clone(), vec![[p1, p3]]);
+        let reversed = Slice::new(tau, vec![[p3, p1]]);
         let theta: Vec<&[PathId]> = reversed.theta().collect();
         assert_eq!(theta, [&[p1][..], &[p3], &[p1, p3]]);
         assert_eq!(reversed.routing_matrix(), forward.routing_matrix());

@@ -94,7 +94,7 @@ proptest! {
                 let hosting: Vec<_> = slices
                     .iter()
                     .filter(|s| {
-                        s.pairs.contains(&(paths[i].id(), paths[j].id()))
+                        s.pairs.contains(&[paths[i].id(), paths[j].id()])
                     })
                     .collect();
                 prop_assert_eq!(hosting.len(), 1, "pair must be in exactly one slice");

@@ -16,9 +16,9 @@ use nni_topogen::{generate, IspParams};
 use nni_topology::{LinkSeq, PathId, PathSet, Topology};
 
 /// Every `τ` with its path pairs in `(i, j)` enumeration order.
-fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<(PathId, PathId)>> {
+fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<[PathId; 2]>> {
     let paths = topology.paths();
-    let mut groups: BTreeMap<LinkSeq, Vec<(PathId, PathId)>> = BTreeMap::new();
+    let mut groups: BTreeMap<LinkSeq, Vec<[PathId; 2]>> = BTreeMap::new();
     for i in 0..paths.len() {
         for j in i + 1..paths.len() {
             let shared = paths[i].shared_links(&paths[j]);
@@ -26,7 +26,7 @@ fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<(PathId, PathI
                 groups
                     .entry(shared)
                     .or_default()
-                    .push((paths[i].id(), paths[j].id()));
+                    .push([paths[i].id(), paths[j].id()]);
             }
         }
     }
@@ -35,23 +35,23 @@ fn reference_slices(topology: &Topology) -> BTreeMap<LinkSeq, Vec<(PathId, PathI
 
 /// `Θ_τ` of a slice with these pairs: the sorted distinct paths as
 /// singletons, then the pairs, and the sorted paths themselves.
-fn reference_theta(pairs: &[(PathId, PathId)]) -> (Vec<PathId>, Vec<PathSet>) {
-    let mut paths: Vec<PathId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+fn reference_theta(pairs: &[[PathId; 2]]) -> (Vec<PathId>, Vec<PathSet>) {
+    let mut paths: Vec<PathId> = pairs.iter().flatten().copied().collect();
     paths.sort();
     paths.dedup();
     let mut theta: Vec<PathSet> = paths.iter().map(|&p| PathSet::single(p)).collect();
-    theta.extend(pairs.iter().map(|&(a, b)| PathSet::pair(a, b)));
+    theta.extend(pairs.iter().map(|&[a, b]| PathSet::pair(a, b)));
     (paths, theta)
 }
 
 /// Equation 14 per pair, `y_i + y_j − y_ij`, with `i` and `j` found by
 /// `binary_search` in the sorted paths.
-fn reference_estimates(paths: &[PathId], pairs: &[(PathId, PathId)], y: &[f64]) -> Vec<f64> {
+fn reference_estimates(paths: &[PathId], pairs: &[[PathId; 2]], y: &[f64]) -> Vec<f64> {
     let idx = |p: &PathId| paths.binary_search(p).expect("pairs reference known paths");
     pairs
         .iter()
         .enumerate()
-        .map(|(k, (a, b))| y[idx(a)] + y[idx(b)] - y[paths.len() + k])
+        .map(|(k, [a, b])| y[idx(a)] + y[idx(b)] - y[paths.len() + k])
         .collect()
 }
 
