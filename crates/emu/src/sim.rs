@@ -31,6 +31,22 @@
 //!   per recorded packet; the cached boundary is computed to agree exactly
 //!   with the float division it replaces.
 //!
+//! Two rules keep the event loop off the allocator and free of dead events:
+//!
+//! * **Recycled buckets** — stepping the calendar into its next bucket swaps
+//!   the emptied current bucket's storage into the ring slot, so bucket
+//!   storage is reused revolution after revolution instead of freed and
+//!   regrown ([`crate::event`]).
+//! * **One timer per flow** — a flow keeps at most one live `Rto` event.
+//!   Every ACK re-arms the timer, but arming only records the deadline and
+//!   the queue seq an eager push would have taken; the event is re-queued
+//!   at that key when the pending one fires early (see `RtoTimer`). The
+//!   timer that fires pops at exactly the `(time, seq)` key its arm
+//!   reserved, so tie order does not depend on how often it was re-armed.
+//!
+//! Each link also caches its full-MSS serialization time: every data
+//! segment is MSS-sized, so transmissions skip the float divide.
+//!
 //! End-of-run invariant: after the event loop drains, every slab handle has
 //! been freed (`live() == 0`) — leaked or double-freed handles panic.
 
@@ -58,7 +74,8 @@ use nni_topology::LinkId;
 /// Physical parameters of one simulated link.
 #[derive(Debug, Clone)]
 pub struct LinkParams {
-    /// Capacity in bits per second.
+    /// Capacity in bits per second: finite and positive, or
+    /// [`Simulator::new`] panics.
     pub rate_bps: f64,
     /// One-way propagation delay in seconds.
     pub delay_s: f64,
@@ -70,6 +87,8 @@ pub struct LinkParams {
 
 struct LinkSim {
     rate_bps: f64,
+    /// `tx_time(mss, rate_bps)`: every data segment is MSS-sized.
+    mss_tx: SimTime,
     delay: SimTime,
     qcap_bytes: u64,
     queue: std::collections::VecDeque<Packet>,
@@ -89,11 +108,29 @@ struct FlowSim {
     dup_acks: u32,
     recover: u64,
     send_times: SendTimes,
-    rto_generation: u32,
+    rto: RtoTimer,
     done: bool,
     slot: Option<usize>,
     rcv_nxt: u64,
     ooo: OooWindow,
+}
+
+/// A flow's retransmission timer, kept as at most one live queued `Rto`
+/// event. Arming only records the deadline and the queue seq an eager push
+/// would have taken; the event is queued when none is pending or the new
+/// deadline is earlier, and re-queued at the recorded key when a pending
+/// one fires after a re-arm. So the timer that does fire pops with exactly
+/// the `(time, seq)` key of an event pushed on every arm.
+#[derive(Default)]
+struct RtoTimer {
+    /// Latest armed deadline and its reserved seq.
+    deadline: SimTime,
+    seq: u64,
+    /// Key of the live queued event, if one is pending.
+    queued: Option<(SimTime, u64)>,
+    /// Stamp of the live queued event; an event queued earlier and then
+    /// overtaken by an earlier deadline carries an older one.
+    generation: u32,
 }
 
 struct Slot {
@@ -155,6 +192,13 @@ impl Simulator {
     ) -> Simulator {
         assert!(!links.is_empty(), "need at least one link");
         assert!(!routes.is_empty(), "need at least one route");
+        for (i, l) in links.iter().enumerate() {
+            assert!(
+                l.rate_bps.is_finite() && l.rate_bps > 0.0,
+                "link {i} needs a finite positive rate, got {} b/s",
+                l.rate_bps
+            );
+        }
         for r in &routes {
             for l in &r.links {
                 assert!(l.index() < links.len(), "route references unknown link {l}");
@@ -170,6 +214,7 @@ impl Simulator {
                 let qcap_bytes = p.queue_bytes.unwrap_or_else(|| cfg.queue_bytes(p.rate_bps));
                 LinkSim {
                     rate_bps: p.rate_bps,
+                    mss_tx: tx_time(cfg.mss as u64, p.rate_bps),
                     delay: SimTime::from_secs_f64(p.delay_s),
                     qcap_bytes,
                     // Pre-size to the drop-tail capacity: the queue can
@@ -400,8 +445,13 @@ impl Simulator {
         let link = &mut self.links[link_id.index()];
         debug_assert!(!link.busy && !link.queue.is_empty());
         link.busy = true;
-        let head_size = link.queue.front().expect("non-empty").size as u64;
-        let done_at = self.now + tx_time(head_size, link.rate_bps);
+        let head_size = link.queue.front().expect("non-empty").size;
+        let tx = if head_size == self.cfg.mss {
+            link.mss_tx
+        } else {
+            tx_time(head_size as u64, link.rate_bps)
+        };
+        let done_at = self.now + tx;
         self.queue
             .push(done_at, Event::TxComplete(link_id.index() as u32));
     }
@@ -537,7 +587,7 @@ impl Simulator {
             dup_acks: 0,
             recover: 0,
             send_times: SendTimes::new(),
-            rto_generation: 0,
+            rto: RtoTimer::default(),
             done: false,
             slot: Some(slot),
             rcv_nxt: 0,
@@ -590,18 +640,29 @@ impl Simulator {
         self.queue.push(self.now, Event::Arrive(h));
     }
 
+    /// (Re)arms the flow's retransmission timer at `now + rto` (see
+    /// [`RtoTimer`]).
     fn arm_rto(&mut self, f: FlowId) {
-        let flow = &mut self.flows[f.index()];
-        flow.rto_generation += 1;
-        let generation = flow.rto_generation;
-        let at = self.now + SimTime::from_secs_f64(flow.rtt.rto());
-        self.queue.push(
-            at,
-            Event::Rto {
-                flow: f,
-                generation,
-            },
-        );
+        let at = self.now + SimTime::from_secs_f64(self.flows[f.index()].rtt.rto());
+        let seq = self.queue.reserve_seq();
+        let timer = &mut self.flows[f.index()].rto;
+        timer.deadline = at;
+        timer.seq = seq;
+        if timer.queued.is_none_or(|(pending, _)| at < pending) {
+            self.queue_rto(f);
+        }
+    }
+
+    /// Queues the flow's armed deadline as its one live `Rto` event.
+    fn queue_rto(&mut self, f: FlowId) {
+        let timer = &mut self.flows[f.index()].rto;
+        timer.generation += 1;
+        timer.queued = Some((timer.deadline, timer.seq));
+        let event = Event::Rto {
+            flow: f,
+            generation: timer.generation,
+        };
+        self.queue.push_reserved(timer.deadline, timer.seq, event);
     }
 
     fn on_ack(&mut self, f: FlowId, ackno: u64) {
@@ -668,8 +729,7 @@ impl Simulator {
         };
         if done {
             let flow = &mut self.flows[f.index()];
-            flow.done = true;
-            flow.rto_generation += 1; // cancel pending timers
+            flow.done = true; // pending timers now fire as no-ops
             self.completed_flows += 1;
             if let Some(slot) = flow.slot {
                 let gap = self.slots[slot].spec.sample_gap(&mut self.rng);
@@ -684,8 +744,15 @@ impl Simulator {
 
     fn on_rto(&mut self, f: FlowId, generation: u32) {
         let flow = &mut self.flows[f.index()];
-        if flow.done || generation != flow.rto_generation {
-            return; // stale timer
+        if flow.done || generation != flow.rto.generation {
+            return; // finished flow, or overtaken by an earlier deadline
+        }
+        let (_, queued_seq) = flow.rto.queued.take().expect("live timer is queued");
+        if queued_seq != flow.rto.seq {
+            // Re-armed since this event was queued: the deadline moved
+            // later, so wait for it at the key its arm reserved.
+            self.queue_rto(f);
+            return;
         }
         if flow.snd_una >= flow.snd_nxt {
             return; // nothing outstanding
@@ -766,6 +833,13 @@ mod tests {
                 assert!(idx(b - 1) < i, "boundary too late: {interval_s} {i}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite positive rate")]
+    fn zero_rate_link_is_rejected_at_construction() {
+        let (links, routes) = two_link_setup(0.0);
+        Simulator::new(links, routes, 1, 1, quick_cfg(1.0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the emulator substrate.
 
+use nni_emu::event::{CAL_BUCKETS, CAL_BUCKET_NS};
 use nni_emu::{
     CalendarEventQueue, CcKind, CongestionControl, Differentiation, Event, FlowId, LinkParams,
     Packet, PacketSlab, Route, RouteId, ShapeLaneConfig, SimConfig, SimTime, Simulator, SizeDist,
@@ -157,39 +158,70 @@ proptest! {
     /// The calendar event queue pops in exact `(time, insertion sequence)`
     /// order under random interleaved push/pop — the determinism invariant
     /// the slab/compact-entry rewrite must preserve, checked against a
-    /// brute-force min-scan model.
+    /// brute-force min-scan model. Seqs taken with `reserve_seq` are pushed
+    /// later, out of order, with `push_reserved` (as the RTO timer does),
+    /// among plain pushes into the current bucket, the ring and the far
+    /// heap, and into the past.
     #[test]
     fn event_queues_pop_in_time_insertion_order(
-        ops in prop::collection::vec((0u64..1_000_000_000, prop::bool::ANY), 1..400),
+        ops in prop::collection::vec((0u64..1_000_000_000, 0u8..4, 0usize..64), 1..400),
     ) {
+        // A push lands this far past the last pop, at most: in the current
+        // bucket, within the ring horizon, or out to the far heap.
+        let spans = [CAL_BUCKET_NS, CAL_BUCKETS as u64 * CAL_BUCKET_NS, 1_000_000_000];
+        let event = |seq: u64| Event::FlowStart { slot: seq as u32 };
         let mut cal = CalendarEventQueue::new();
-        // Model: pending (time, insertion seq, slot); pop = min by (time, seq).
-        let mut model: Vec<(u64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        for (time, is_pop) in ops {
-            if is_pop && !model.is_empty() {
-                let best = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(t, s, _))| (t, s))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                let (t, _, slot) = model.swap_remove(best);
-                let expect = Some((SimTime(t), Event::FlowStart { slot }));
-                prop_assert_eq!(cal.pop(), expect, "calendar order");
-            } else {
-                let slot = seq as u32;
-                cal.push(SimTime(time), Event::FlowStart { slot });
-                model.push((time, seq, slot));
-                seq += 1;
+        // Model: pending (time, seq); pop = min by (time, seq).
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut reserved: Vec<u64> = Vec::new();
+        let mut last_pop = 0u64;
+        for (time, kind, sel) in ops {
+            let ahead = last_pop + time % spans[sel % spans.len()];
+            match kind {
+                0 if !model.is_empty() => {
+                    let best = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &key)| key)
+                        .map(|(i, _)| i)
+                        .expect("non-empty");
+                    let (t, seq) = model.swap_remove(best);
+                    prop_assert_eq!(cal.pop(), Some((SimTime(t), event(seq))), "calendar order");
+                    last_pop = t;
+                }
+                1 => {
+                    let seq = cal.reserve_seq();
+                    prop_assert_eq!(seq, next_seq);
+                    reserved.push(seq);
+                    next_seq += 1;
+                }
+                2 if !reserved.is_empty() => {
+                    // Strictly after the last pop: the seq may be older
+                    // than keys popped since it was reserved.
+                    let seq = reserved.swap_remove(sel % reserved.len());
+                    cal.push_reserved(SimTime(ahead + 1), seq, event(seq));
+                    model.push((ahead + 1, seq));
+                }
+                _ => {
+                    // A plain push; every fourth one at an absolute time,
+                    // which may lie before the last pop.
+                    let at = if sel % 4 == 3 { time } else { ahead };
+                    cal.push(SimTime(at), event(next_seq));
+                    model.push((at, next_seq));
+                    next_seq += 1;
+                }
             }
             prop_assert_eq!(cal.len(), model.len());
         }
+        for seq in reserved.into_iter().rev() {
+            cal.push_reserved(SimTime(last_pop + 1), seq, event(seq));
+            model.push((last_pop + 1, seq));
+        }
         // Drain: remaining events come out in fully sorted order.
-        model.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        for (t, _, slot) in model {
-            let expect = Some((SimTime(t), Event::FlowStart { slot }));
-            prop_assert_eq!(cal.pop(), expect);
+        model.sort_unstable();
+        for (t, seq) in model {
+            prop_assert_eq!(cal.pop(), Some((SimTime(t), event(seq))));
         }
         prop_assert!(cal.is_empty());
     }
