@@ -25,9 +25,9 @@
 //! steady state the queue does not allocate. Together with the simulator's
 //! one retransmission timer per flow ([`reserve_seq`] and [`push_reserved`];
 //! see [`crate::sim`]) this runs perfbench's `table2_sweep` (the 34 Table 2
-//! members on topology A) at a median 73.7 ops/s, against 46.8 ops/s with
+//! members on topology A) at a median 88.5 ops/s, against 52.8 ops/s with
 //! per-step bucket reallocation and one timer event per ACK (ten alternating
-//! 10 s runs each, 2-core Xeon container). [`EventQueue`] aliases it. Unit
+//! 30 s runs each, 2-core Xeon container). [`EventQueue`] aliases it. Unit
 //! and property tests check its pop order against a brute-force model.
 //!
 //! [`reserve_seq`]: CalendarEventQueue::reserve_seq

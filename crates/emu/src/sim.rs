@@ -86,8 +86,7 @@ pub struct LinkParams {
 }
 
 struct LinkSim {
-    rate_bps: f64,
-    /// `tx_time(mss, rate_bps)`: every data segment is MSS-sized.
+    /// `tx_time(mss, rate_bps)`: every packet is an MSS-sized segment.
     mss_tx: SimTime,
     delay: SimTime,
     qcap_bytes: u64,
@@ -213,7 +212,6 @@ impl Simulator {
             .map(|p| {
                 let qcap_bytes = p.queue_bytes.unwrap_or_else(|| cfg.queue_bytes(p.rate_bps));
                 LinkSim {
-                    rate_bps: p.rate_bps,
                     mss_tx: tx_time(cfg.mss as u64, p.rate_bps),
                     delay: SimTime::from_secs_f64(p.delay_s),
                     qcap_bytes,
@@ -445,13 +443,8 @@ impl Simulator {
         let link = &mut self.links[link_id.index()];
         debug_assert!(!link.busy && !link.queue.is_empty());
         link.busy = true;
-        let head_size = link.queue.front().expect("non-empty").size;
-        let tx = if head_size == self.cfg.mss {
-            link.mss_tx
-        } else {
-            tx_time(head_size as u64, link.rate_bps)
-        };
-        let done_at = self.now + tx;
+        debug_assert_eq!(link.queue.front().expect("non-empty").size, self.cfg.mss);
+        let done_at = self.now + link.mss_tx;
         self.queue
             .push(done_at, Event::TxComplete(link_id.index() as u32));
     }
