@@ -12,14 +12,16 @@
 //!   under the default config — inference over replayed measurements stays
 //!   stable across releases;
 //! * the JSON-lines sidecar is byte-identical to `to_jsonl` of the decoded
-//!   entry — the export format is pinned as well.
+//!   entry — the export format is pinned as well;
+//! * re-encoding the decoded set reproduces the committed bytes — the
+//!   encoder is pinned, not only the decoder.
 //!
 //! If an intentional codec or inference change invalidates the values, run
 //! with `NNI_PRINT_CORPUS_GOLDEN=1` and paste the printed table — but think
 //! first: a mismatch here means previously recorded corpora now replay
 //! differently, which is exactly what this gate exists to catch.
 
-use nni_measure::{jsonl, Corpus, MeasurementSource};
+use nni_measure::{codec, jsonl, Corpus, MeasurementSource};
 use nni_scenario::{infer, InferenceConfig};
 
 fn golden_dir() -> std::path::PathBuf {
@@ -79,6 +81,12 @@ fn committed_corpus_replays_to_golden_fingerprints() {
     let mut current: Vec<(String, u64, u64, u64)> = Vec::new();
     for e in &entries {
         let set = e.acquire().expect("committed entry decodes");
+        let committed = std::fs::read(e.path()).expect("committed entry reads");
+        assert!(
+            codec::encode(&set) == committed,
+            "re-encoding {} no longer reproduces its committed bytes",
+            e.path().display()
+        );
         let result = infer(&set, &cfg);
         current.push((
             set.provenance.scenario.clone(),
