@@ -36,11 +36,22 @@
 //! [`decode`] accepts both; [`decode_v1`] is the frozen v1-only reader and
 //! rejects version 2 with [`CodecError::UnsupportedVersion`] — the typed
 //! error a pre-delay reader would raise.
+//!
+//! # Shared walks
+//!
+//! The TOPOLOGY and CLASSES payloads are each written by one function and
+//! read by one: [`put_topology`]/[`get_topology`] and
+//! [`put_classes`]/[`get_classes`]. The worker job codec in `nni-scenario`
+//! calls the same four, and the writers are generic over [`Sink`], so the
+//! scenario's measurement fingerprint folds the very same walk into an
+//! FNV-1a instead of restating it. One row writer, `put_rows`, lays out the
+//! LOG grid and a segment's interval chunks alike.
 
 use crate::dataset::{Fnv, MeasurementSet, Provenance};
 use crate::record::{DelayStats, MeasurementLog};
-use crate::wire::{WireReader, WireWriter};
-use nni_topology::{NodeKind, PathId, TopologyBuilder, TopologyError};
+use crate::wire::{Sink, WireReader, WireWriter};
+use nni_topology::{LinkId, NodeId, NodeKind, PathId, Topology, TopologyBuilder, TopologyError};
+use std::ops::Range;
 
 /// Magic prefix of every encoded set.
 pub const MAGIC: &[u8; 7] = b"NNIMSET";
@@ -108,6 +119,110 @@ impl From<TopologyError> for CodecError {
     }
 }
 
+// ------------------------------------------------------- shared field walks
+
+/// Writes a topology: nodes (kind, name), links (endpoints, capacity,
+/// delay, name), paths (name, link ids). The TOPOLOGY section's payload,
+/// the job codec's topology, and the scenario fingerprint's first fields.
+pub fn put_topology(w: &mut impl Sink, g: &Topology) {
+    w.vu(g.nodes().len() as u64);
+    for n in g.nodes() {
+        w.u8(matches!(n.kind, NodeKind::Relay) as u8);
+        w.str(&n.name);
+    }
+    w.vu(g.link_count() as u64);
+    for l in g.links() {
+        w.vu(l.src.index() as u64);
+        w.vu(l.dst.index() as u64);
+        w.f64(l.capacity_bps);
+        w.f64(l.delay_s);
+        w.str(&l.name);
+    }
+    w.vu(g.path_count() as u64);
+    for p in g.paths() {
+        w.str(p.name());
+        w.vu(p.len() as u64);
+        for l in p.links() {
+            w.vu(l.index() as u64);
+        }
+    }
+}
+
+/// Reads what [`put_topology`] wrote, re-validating it through
+/// [`TopologyBuilder`].
+pub fn get_topology(r: &mut WireReader<'_>) -> Result<Topology, CodecError> {
+    let mut b = TopologyBuilder::new();
+    for _ in 0..r.len()? {
+        let kind = r.u8()?;
+        let name = r.str()?;
+        match kind {
+            0 => b.host(&name),
+            1 => b.relay(&name),
+            _ => return Err(CodecError::BadValue("node kind")),
+        };
+    }
+    for _ in 0..r.len()? {
+        let src = NodeId(r.vu()? as usize);
+        let dst = NodeId(r.vu()? as usize);
+        let capacity = r.f64()?;
+        let delay = r.f64()?;
+        let name = r.str()?;
+        b.link_with(&name, src, dst, capacity, delay)?;
+    }
+    for _ in 0..r.len()? {
+        let name = r.str()?;
+        let n = r.len()?;
+        let mut links = Vec::with_capacity(n);
+        for _ in 0..n {
+            links.push(LinkId(r.vu()? as usize));
+        }
+        b.path(&name, links)?;
+    }
+    Ok(b.build())
+}
+
+/// Writes a class partition: per class, its member path ids.
+pub fn put_classes(w: &mut impl Sink, classes: &[Vec<PathId>]) {
+    w.vu(classes.len() as u64);
+    for class in classes {
+        w.vu(class.len() as u64);
+        for p in class {
+            w.vu(p.index() as u64);
+        }
+    }
+}
+
+/// Reads what [`put_classes`] wrote; a member id at or past `n_paths` is a
+/// [`CodecError::BadValue`].
+pub fn get_classes(r: &mut WireReader<'_>, n_paths: usize) -> Result<Vec<Vec<PathId>>, CodecError> {
+    let n_classes = r.len()?;
+    let mut classes = Vec::with_capacity(n_classes);
+    for _ in 0..n_classes {
+        let n = r.len()?;
+        let mut class = Vec::with_capacity(n);
+        for _ in 0..n {
+            let p = r.vu()? as usize;
+            if p >= n_paths {
+                return Err(CodecError::BadValue("class member path id"));
+            }
+            class.push(PathId(p));
+        }
+        classes.push(class);
+    }
+    Ok(classes)
+}
+
+/// Writes the `(sent vu, lost vu)` grid of intervals `range`, interval-major
+/// — the LOG section's rows and a segment's INTERVALS chunk.
+pub(crate) fn put_rows(w: &mut WireWriter, log: &MeasurementLog, range: Range<usize>) {
+    for t in range {
+        for p in 0..log.path_count() {
+            w.vu(log.sent(t, PathId(p)));
+            w.vu(log.lost(t, PathId(p)));
+        }
+    }
+}
+
 // ---------------------------------------------------------------- writing
 
 /// Writes a section: tag, payload length, payload — the byte primitives
@@ -137,50 +252,14 @@ pub fn encode(set: &MeasurementSet) -> Vec<u8> {
         w.u64(set.provenance.seed);
         w.str(&set.provenance.build);
     });
-    section(&mut w, TAG_TOPOLOGY, |w| {
-        let g = &set.topology;
-        w.vu(g.nodes().len() as u64);
-        for n in g.nodes() {
-            w.u8(matches!(n.kind, NodeKind::Relay) as u8);
-            w.str(&n.name);
-        }
-        w.vu(g.link_count() as u64);
-        for l in g.links() {
-            w.vu(l.src.index() as u64);
-            w.vu(l.dst.index() as u64);
-            w.f64(l.capacity_bps);
-            w.f64(l.delay_s);
-            w.str(&l.name);
-        }
-        w.vu(g.path_count() as u64);
-        for p in g.paths() {
-            w.str(p.name());
-            w.vu(p.len() as u64);
-            for l in p.links() {
-                w.vu(l.index() as u64);
-            }
-        }
-    });
-    section(&mut w, TAG_CLASSES, |w| {
-        w.vu(set.classes.len() as u64);
-        for class in &set.classes {
-            w.vu(class.len() as u64);
-            for p in class {
-                w.vu(p.index() as u64);
-            }
-        }
-    });
+    section(&mut w, TAG_TOPOLOGY, |w| put_topology(w, &set.topology));
+    section(&mut w, TAG_CLASSES, |w| put_classes(w, &set.classes));
     section(&mut w, TAG_LOG, |w| {
         let log = &set.log;
         w.f64(log.interval_s());
         w.vu(log.path_count() as u64);
         w.vu(log.interval_count() as u64);
-        for t in 0..log.interval_count() {
-            for p in 0..log.path_count() {
-                w.vu(log.sent(t, PathId(p)));
-                w.vu(log.lost(t, PathId(p)));
-            }
-        }
+        put_rows(w, log, 0..log.interval_count());
     });
     if set.log.has_delay() {
         section(&mut w, TAG_DELAY, |w| {
@@ -222,62 +301,10 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
     let version = bytes[MAGIC.len()];
     let mut r = WireReader::at(bytes, provenance.1);
 
-    // TOPOLOGY.
     expect_section(&mut r, TAG_TOPOLOGY)?;
-    let mut b = TopologyBuilder::new();
-    let n_nodes = r.len()?;
-    for _ in 0..n_nodes {
-        let kind = r.u8()?;
-        let name = r.str()?;
-        match kind {
-            0 => b.host(&name),
-            1 => b.relay(&name),
-            _ => return Err(CodecError::BadValue("node kind")),
-        };
-    }
-    let n_links = r.len()?;
-    for _ in 0..n_links {
-        let src = r.vu()? as usize;
-        let dst = r.vu()? as usize;
-        let capacity = r.f64()?;
-        let delay = r.f64()?;
-        let name = r.str()?;
-        b.link_with(
-            &name,
-            nni_topology::NodeId(src),
-            nni_topology::NodeId(dst),
-            capacity,
-            delay,
-        )?;
-    }
-    let n_paths = r.len()?;
-    for _ in 0..n_paths {
-        let name = r.str()?;
-        let n = r.len()?;
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
-            links.push(nni_topology::LinkId(r.vu()? as usize));
-        }
-        b.path(&name, links)?;
-    }
-    let topology = b.build();
-
-    // CLASSES.
+    let topology = get_topology(&mut r)?;
     expect_section(&mut r, TAG_CLASSES)?;
-    let n_classes = r.len()?;
-    let mut classes = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        let n = r.len()?;
-        let mut class = Vec::with_capacity(n);
-        for _ in 0..n {
-            let p = r.vu()? as usize;
-            if p >= topology.path_count() {
-                return Err(CodecError::BadValue("class member path id"));
-            }
-            class.push(PathId(p));
-        }
-        classes.push(class);
-    }
+    let classes = get_classes(&mut r, topology.path_count())?;
 
     // LOG.
     expect_section(&mut r, TAG_LOG)?;

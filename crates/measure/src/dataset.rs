@@ -184,8 +184,7 @@ impl From<crate::codec::CodecError> for SourceError {
 }
 
 /// Anything that can produce a [`MeasurementSet`]: the live emulator (an
-/// `Experiment` in `nni-scenario`), an on-disk corpus entry, or a cached
-/// wrapper around either.
+/// `Experiment` in `nni-scenario`) or an on-disk corpus entry.
 pub trait MeasurementSource {
     /// The `(scenario fingerprint, seed)` identity of the set this source
     /// yields — known *without* acquiring, so caches can hit first.
@@ -209,23 +208,6 @@ impl MeasurementCache {
     /// An empty cache.
     pub fn new() -> MeasurementCache {
         MeasurementCache::default()
-    }
-
-    /// The set for `source.key()`, acquiring and storing it on first use.
-    pub fn get_or_acquire(
-        &self,
-        source: &dyn MeasurementSource,
-    ) -> Result<Arc<MeasurementSet>, SourceError> {
-        let key = source.key();
-        if let Some(set) = self.get(key) {
-            return Ok(set);
-        }
-        // Acquire outside the lock: acquisition can be seconds of
-        // simulation, and concurrent callers for *different* keys must not
-        // serialize on it. A racing duplicate acquisition for the same key
-        // is wasted work, not an error — insert() keeps the first.
-        let set = Arc::new(source.acquire()?);
-        Ok(self.insert(key, set))
     }
 
     /// Cache lookup (bumps the hit counter when found).
@@ -269,49 +251,10 @@ impl MeasurementCache {
     }
 }
 
-/// A [`MeasurementSource`] that consults a [`MeasurementCache`] before its
-/// inner source — acquisition through the wrapper populates the cache, and
-/// revisiting a key never re-acquires.
-pub struct Cached<'c, S: MeasurementSource> {
-    inner: S,
-    cache: &'c MeasurementCache,
-}
-
-impl<'c, S: MeasurementSource> Cached<'c, S> {
-    /// Wraps `inner` with `cache`.
-    pub fn new(inner: S, cache: &'c MeasurementCache) -> Cached<'c, S> {
-        Cached { inner, cache }
-    }
-
-    /// The zero-copy path: the cached (or freshly acquired) set as a
-    /// shared handle. Prefer this over the trait's [`acquire`] when the
-    /// caller can hold an `Arc` — the trait method must return an owned
-    /// set and therefore clones out of the cache.
-    ///
-    /// [`acquire`]: MeasurementSource::acquire
-    pub fn get(&self) -> Result<Arc<MeasurementSet>, SourceError> {
-        self.cache.get_or_acquire(&self.inner)
-    }
-}
-
-impl<S: MeasurementSource> MeasurementSource for Cached<'_, S> {
-    fn key(&self) -> SetKey {
-        self.inner.key()
-    }
-
-    /// Owned-set acquisition through the cache: memoized, but clones the
-    /// cached value to satisfy the trait signature — use
-    /// [`Cached::get`] for the shared-handle path.
-    fn acquire(&self) -> Result<MeasurementSet, SourceError> {
-        Ok((*self.get()?).clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nni_topology::TopologyBuilder;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_set(seed: u64) -> MeasurementSet {
         let mut b = TopologyBuilder::new();
@@ -332,25 +275,6 @@ mod tests {
                 seed,
                 build: "test".into(),
             },
-        }
-    }
-
-    struct CountingSource {
-        seed: u64,
-        acquisitions: AtomicUsize,
-    }
-
-    impl MeasurementSource for CountingSource {
-        fn key(&self) -> SetKey {
-            SetKey {
-                fingerprint: 0xABCD,
-                seed: self.seed,
-            }
-        }
-
-        fn acquire(&self) -> Result<MeasurementSet, SourceError> {
-            self.acquisitions.fetch_add(1, Ordering::Relaxed);
-            Ok(tiny_set(self.seed))
         }
     }
 
@@ -382,42 +306,5 @@ mod tests {
             ])]]);
         assert_ne!(a, b);
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn cache_acquires_each_key_once() {
-        let cache = MeasurementCache::new();
-        let s1 = CountingSource {
-            seed: 1,
-            acquisitions: AtomicUsize::new(0),
-        };
-        let s2 = CountingSource {
-            seed: 2,
-            acquisitions: AtomicUsize::new(0),
-        };
-        let a = cache.get_or_acquire(&s1).unwrap();
-        let b = cache.get_or_acquire(&s1).unwrap();
-        let c = cache.get_or_acquire(&s2).unwrap();
-        assert_eq!(s1.acquisitions.load(Ordering::Relaxed), 1);
-        assert_eq!(s2.acquisitions.load(Ordering::Relaxed), 1);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*c, tiny_set(2));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn cached_wrapper_is_a_source() {
-        let cache = MeasurementCache::new();
-        let src = CountingSource {
-            seed: 7,
-            acquisitions: AtomicUsize::new(0),
-        };
-        let cached = Cached::new(src, &cache);
-        assert_eq!(cached.key().seed, 7);
-        let a = cached.acquire().unwrap();
-        let b = cached.acquire().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(cached.inner.acquisitions.load(Ordering::Relaxed), 1);
     }
 }

@@ -66,8 +66,7 @@ pub use corpus::{
     entry_file_name, entry_order_key, segment_file_name, Corpus, CorpusEntry, CORPUS_EXT,
 };
 pub use dataset::{
-    Cached, Fnv, MeasurementCache, MeasurementSet, MeasurementSource, Provenance, SetKey,
-    SourceError,
+    Fnv, MeasurementCache, MeasurementSet, MeasurementSource, Provenance, SetKey, SourceError,
 };
 pub use normalize::{
     group_indicators, hypergeometric, interval_eval_count, pathset_cf_counts, perf_from_counts,
@@ -84,6 +83,6 @@ pub use segment::{
 pub use stream::{SlidingCounts, StreamError, StreamingLog};
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
-    frame_bytes, read_frame, read_frame_v1, write_frame, FrameError, WireReader, WireWriter,
+    frame_bytes, read_frame, read_frame_v1, write_frame, FrameError, Sink, WireReader, WireWriter,
     FRAME_VERSION, FRAME_VERSION_V1, SYNC_MARKER,
 };

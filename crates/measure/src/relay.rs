@@ -47,8 +47,8 @@ use std::time::Duration;
 
 use crate::codec::CodecError;
 use crate::corpus::entry_order_key;
-use crate::segment::{SegmentFollower, SegmentItem, SEGMENT_EXT};
-use crate::tail::TailEvent;
+use crate::segment::{SegmentFollower, SEGMENT_EXT};
+use crate::tail::{segment_event, TailEvent};
 use crate::wire::{frame_bytes, read_frame, FrameError, WireReader, WireWriter};
 
 /// Frame magic of the segment-relay protocol.
@@ -280,27 +280,7 @@ impl RemoteTail {
         file.buffer.extend_from_slice(data);
         let path = PathBuf::from(&name);
         match file.follower.poll_bytes(&file.buffer) {
-            Ok(batch) => {
-                for item in batch.items {
-                    events.push(match item {
-                        SegmentItem::Header(set) => TailEvent::SegmentHeader {
-                            path: path.clone(),
-                            set: *set,
-                        },
-                        SegmentItem::Intervals { first_t, rows } => TailEvent::SegmentIntervals {
-                            path: path.clone(),
-                            first_t,
-                            rows,
-                        },
-                        SegmentItem::Gap(gap) => TailEvent::SegmentGap {
-                            path: path.clone(),
-                            from_interval: gap.from_interval,
-                            to_interval: gap.to_interval,
-                            bytes_skipped: gap.bytes_skipped,
-                        },
-                    });
-                }
-            }
+            Ok(batch) => events.extend(batch.items.into_iter().map(|i| segment_event(&path, i))),
             Err(e) => {
                 self.files.remove(&name);
                 self.dead.insert(name);

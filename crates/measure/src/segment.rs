@@ -67,7 +67,6 @@ use crate::codec::{self, CodecError};
 use crate::dataset::{Fnv, MeasurementSet};
 use crate::record::MeasurementLog;
 use crate::wire::{WireReader, WireWriter, SYNC_MARKER};
-use nni_topology::PathId;
 
 /// File extension of segment files.
 pub const SEGMENT_EXT: &str = "nniseg";
@@ -230,12 +229,7 @@ impl SegmentWriter {
         let mut w = WireWriter::new();
         w.vu(from as u64);
         w.vu((to - from) as u64);
-        for t in from..to {
-            for p in 0..self.n_paths {
-                w.vu(log.sent(t, PathId(p)));
-                w.vu(log.lost(t, PathId(p)));
-            }
-        }
+        codec::put_rows(&mut w, log, from..to);
         self.file
             .write_all(&chunk_bytes(TAG_INTERVALS, w.bytes()))?;
         self.file.flush()?;
@@ -720,7 +714,7 @@ fn complete_chunk(bytes: &[u8], offset: usize, version: u8) -> Result<ChunkAt<'_
 mod tests {
     use super::*;
     use crate::dataset::Provenance;
-    use nni_topology::TopologyBuilder;
+    use nni_topology::{PathId, TopologyBuilder};
 
     fn sample_set(intervals: usize) -> MeasurementSet {
         let mut b = TopologyBuilder::new();

@@ -184,29 +184,7 @@ impl CorpusTail {
             // still terminal and lands in the `Err` arm below.
             .or_insert_with(|| SegmentFollower::open(&path).with_resync(true));
         match follower.poll() {
-            Ok(batch) => {
-                for item in batch.items {
-                    match item {
-                        SegmentItem::Header(set) => events.push(TailEvent::SegmentHeader {
-                            path: path.clone(),
-                            set: *set,
-                        }),
-                        SegmentItem::Intervals { first_t, rows } => {
-                            events.push(TailEvent::SegmentIntervals {
-                                path: path.clone(),
-                                first_t,
-                                rows,
-                            })
-                        }
-                        SegmentItem::Gap(gap) => events.push(TailEvent::SegmentGap {
-                            path: path.clone(),
-                            from_interval: gap.from_interval,
-                            to_interval: gap.to_interval,
-                            bytes_skipped: gap.bytes_skipped,
-                        }),
-                    }
-                }
-            }
+            Ok(batch) => events.extend(batch.items.into_iter().map(|i| segment_event(&path, i))),
             Err(e) => {
                 self.followers.remove(&path);
                 self.done.insert(path.clone());
@@ -216,6 +194,27 @@ impl CorpusTail {
                 });
             }
         }
+    }
+}
+
+/// The event a decoded item of the segment at `path` surfaces as — one
+/// conversion for the local [`CorpusTail`] and the relay's
+/// [`RemoteTail`](crate::RemoteTail).
+pub(crate) fn segment_event(path: &Path, item: SegmentItem) -> TailEvent {
+    let path = path.to_path_buf();
+    match item {
+        SegmentItem::Header(set) => TailEvent::SegmentHeader { path, set: *set },
+        SegmentItem::Intervals { first_t, rows } => TailEvent::SegmentIntervals {
+            path,
+            first_t,
+            rows,
+        },
+        SegmentItem::Gap(gap) => TailEvent::SegmentGap {
+            path,
+            from_interval: gap.from_interval,
+            to_interval: gap.to_interval,
+            bytes_skipped: gap.bytes_skipped,
+        },
     }
 }
 

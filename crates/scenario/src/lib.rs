@@ -125,6 +125,6 @@ pub use sweep::{reinfer_sets, run_sets, ReinferOutcome, SweepMember, SweepOutcom
 // The dataset seam's types, re-exported so consumers of the experiment
 // surface need only this crate.
 pub use nni_measure::{
-    Cached, Corpus, CorpusEntry, MeasurementCache, MeasurementSet, MeasurementSource, Provenance,
-    SetKey, SourceError,
+    Corpus, CorpusEntry, MeasurementCache, MeasurementSet, MeasurementSource, Provenance, SetKey,
+    SourceError,
 };

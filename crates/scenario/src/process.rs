@@ -295,7 +295,6 @@ pub struct ProcessExecutor {
     backoff_cap: Duration,
     envs: Vec<(OsString, OsString)>,
     transport: WorkerTransport,
-    connect_timeout: Duration,
 }
 
 impl ProcessExecutor {
@@ -311,7 +310,6 @@ impl ProcessExecutor {
             backoff_cap: Duration::from_millis(DEFAULT_BACKOFF_CAP_MS),
             envs: Vec::new(),
             transport: WorkerTransport::default(),
-            connect_timeout: Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS),
         }
     }
 
@@ -325,13 +323,6 @@ impl ProcessExecutor {
             assert!(!addrs.is_empty(), "remote transport needs addresses");
         }
         self.transport = transport;
-        self
-    }
-
-    /// Same pool, explicit connect/accept deadline for socket transports
-    /// (floored at one millisecond).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> ProcessExecutor {
-        self.connect_timeout = timeout.max(Duration::from_millis(1));
         self
     }
 
@@ -680,12 +671,8 @@ impl Worker {
     fn spawn_for(exec: &ProcessExecutor, widx: usize) -> Result<Worker, std::io::Error> {
         match &exec.transport {
             WorkerTransport::Stdio => Worker::spawn_stdio(&exec.worker_bin, &exec.envs),
-            WorkerTransport::Tcp => {
-                Worker::spawn_tcp(&exec.worker_bin, &exec.envs, exec.connect_timeout)
-            }
-            WorkerTransport::Remote(addrs) => {
-                Worker::dial(addrs[widx % addrs.len()], exec.connect_timeout)
-            }
+            WorkerTransport::Tcp => Worker::spawn_tcp(&exec.worker_bin, &exec.envs),
+            WorkerTransport::Remote(addrs) => Worker::dial(addrs[widx % addrs.len()]),
         }
     }
 
@@ -710,11 +697,7 @@ impl Worker {
     /// Connect-back TCP: bind an ephemeral loopback port, hand it to the
     /// worker via `--connect`, and accept with a deadline so a worker
     /// that dies before connecting cannot wedge the pool.
-    fn spawn_tcp(
-        bin: &Path,
-        envs: &[(OsString, OsString)],
-        connect_timeout: Duration,
-    ) -> Result<Worker, std::io::Error> {
+    fn spawn_tcp(bin: &Path, envs: &[(OsString, OsString)]) -> Result<Worker, std::io::Error> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let mut cmd = Command::new(bin);
@@ -727,7 +710,7 @@ impl Worker {
         }
         let mut child = cmd.spawn()?;
         listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + connect_timeout;
+        let deadline = Instant::now() + Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS);
         let stream = loop {
             match listener.accept() {
                 Ok((stream, _)) => break stream,
@@ -766,8 +749,9 @@ impl Worker {
     }
 
     /// Dial-out to a remote `--listen` worker.
-    fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<Worker, std::io::Error> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+    fn dial(addr: SocketAddr) -> Result<Worker, std::io::Error> {
+        let timeout = Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS);
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
         let _ = stream.set_nodelay(true);
         let write = stream.try_clone()?;
         let (results, reader) = spawn_reader(stream);

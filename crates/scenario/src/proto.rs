@@ -11,6 +11,16 @@
 //! and ships the `SimReport` back; the parent re-derives outcomes and
 //! measurement sets from the report, so inference never crosses the wire.
 //!
+//! # One walk, two uses
+//!
+//! A scenario's simulation-relevant fields — topology, classes,
+//! differentiation, path traffic, background, queue overrides — are
+//! walked once, by `put_simulation`, over an `nni_measure::Sink`. The
+//! topology and classes come from `nni_measure::codec`'s shared walks, so
+//! a job and a measurement set lay them out identically. [`encode_scenario`]
+//! runs the walk into a `WireWriter`;
+//! [`Scenario::measurement_fingerprint`] runs it into an FNV-1a.
+//!
 //! # Frames
 //!
 //! Both frame types use the PR 5 framing (magic, version byte, length, FNV
@@ -30,10 +40,10 @@
 use std::io::{Read, Write};
 
 use nni_emu::{CcFleet, CcKind, Differentiation, ShapeLaneConfig, SimReport, SizeDist};
-use nni_measure::codec::CodecError;
+use nni_measure::codec::{self, CodecError};
 use nni_measure::wire::{read_frame, write_frame, FrameError};
-use nni_measure::{WireReader, WireWriter};
-use nni_topology::{LinkId, NodeKind, PathId, TopologyBuilder};
+use nni_measure::{Sink, WireReader, WireWriter};
+use nni_topology::{LinkId, PathId};
 
 use crate::spec::{
     BackgroundTraffic, Expectation, MeasurementConfig, QueueOverride, Scenario, ScenarioBuilder,
@@ -48,13 +58,13 @@ pub const RESULT_MAGIC: &[u8; 7] = b"NNIWRES";
 
 // ---------------------------------------------------------------- scenario
 
-fn put_fleet(w: &mut WireWriter, fleet: &CcFleet) {
-    let put_kind = |w: &mut WireWriter, k: CcKind| {
+fn put_fleet(w: &mut impl Sink, fleet: &CcFleet) {
+    fn put_kind(w: &mut impl Sink, k: CcKind) {
         w.u8(match k {
             CcKind::NewReno => 0,
             CcKind::Cubic => 1,
         })
-    };
+    }
     match fleet {
         CcFleet::Uniform(kind) => {
             w.u8(1);
@@ -92,7 +102,7 @@ fn get_fleet(r: &mut WireReader<'_>) -> Result<CcFleet, CodecError> {
     }
 }
 
-fn put_profile(w: &mut WireWriter, p: &TrafficProfile) {
+fn put_profile(w: &mut impl Sink, p: &TrafficProfile) {
     w.u8(p.class);
     put_fleet(w, &p.cc);
     match p.size {
@@ -130,43 +140,15 @@ fn get_profile(r: &mut WireReader<'_>) -> Result<TrafficProfile, CodecError> {
     })
 }
 
-/// Encodes a scenario into bare payload bytes (framing is the caller's).
-pub fn encode_scenario(s: &Scenario) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.str(&s.name);
-
-    // Topology — the same field order as the measurement-set codec's
-    // TOPOLOGY section, so the two formats stay mutually auditable.
-    let g = &s.topology;
-    w.vu(g.nodes().len() as u64);
-    for n in g.nodes() {
-        w.u8(matches!(n.kind, NodeKind::Relay) as u8);
-        w.str(&n.name);
-    }
-    w.vu(g.link_count() as u64);
-    for l in g.links() {
-        w.vu(l.src.index() as u64);
-        w.vu(l.dst.index() as u64);
-        w.f64(l.capacity_bps);
-        w.f64(l.delay_s);
-        w.str(&l.name);
-    }
-    w.vu(g.path_count() as u64);
-    for p in g.paths() {
-        w.str(p.name());
-        w.vu(p.len() as u64);
-        for l in p.links() {
-            w.vu(l.index() as u64);
-        }
-    }
-
-    w.vu(s.classes.len() as u64);
-    for class in &s.classes {
-        w.vu(class.len() as u64);
-        for p in class {
-            w.vu(p.index() as u64);
-        }
-    }
+/// The simulation-relevant fields of a scenario, in wire order: topology,
+/// classes, differentiation, path traffic, background, queue overrides.
+///
+/// The one walk over them: [`encode_scenario`] writes it as bytes and
+/// [`Scenario::measurement_fingerprint`] folds it into an FNV-1a, each
+/// followed by its own tail of measurement fields.
+pub(crate) fn put_simulation(w: &mut impl Sink, s: &Scenario) {
+    codec::put_topology(w, &s.topology);
+    codec::put_classes(w, &s.classes);
 
     w.vu(s.differentiation.len() as u64);
     for (l, diff) in &s.differentiation {
@@ -199,7 +181,7 @@ pub fn encode_scenario(s: &Scenario) -> Vec<u8> {
     w.vu(s.path_traffic.len() as u64);
     for (p, profile) in &s.path_traffic {
         w.vu(p.index() as u64);
-        put_profile(&mut w, profile);
+        put_profile(w, profile);
     }
 
     w.vu(s.background.len() as u64);
@@ -210,7 +192,7 @@ pub fn encode_scenario(s: &Scenario) -> Vec<u8> {
         }
         w.vu(bg.profiles.len() as u64);
         for profile in &bg.profiles {
-            put_profile(&mut w, profile);
+            put_profile(w, profile);
         }
     }
 
@@ -228,6 +210,15 @@ pub fn encode_scenario(s: &Scenario) -> Vec<u8> {
             }
         }
     }
+}
+
+/// Encodes a scenario into bare payload bytes (framing is the caller's):
+/// the name, the `put_simulation` walk, then the measurement, inference
+/// and expectation fields.
+pub fn encode_scenario(s: &Scenario) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.str(&s.name);
+    put_simulation(&mut w, s);
 
     let m = &s.measurement;
     w.f64(m.duration_s);
@@ -286,54 +277,8 @@ pub fn decode_scenario(bytes: &[u8]) -> Result<Scenario, CodecError> {
     let mut r = WireReader::new(bytes);
     let name = r.str()?;
 
-    let mut b = TopologyBuilder::new();
-    let n_nodes = r.len()?;
-    for _ in 0..n_nodes {
-        let kind = r.u8()?;
-        let node_name = r.str()?;
-        match kind {
-            0 => b.host(&node_name),
-            1 => b.relay(&node_name),
-            _ => return Err(CodecError::BadValue("node kind")),
-        };
-    }
-    let n_links = r.len()?;
-    for _ in 0..n_links {
-        let src = r.vu()? as usize;
-        let dst = r.vu()? as usize;
-        let capacity = r.f64()?;
-        let delay = r.f64()?;
-        let link_name = r.str()?;
-        b.link_with(
-            &link_name,
-            nni_topology::NodeId(src),
-            nni_topology::NodeId(dst),
-            capacity,
-            delay,
-        )?;
-    }
-    let n_paths = r.len()?;
-    for _ in 0..n_paths {
-        let path_name = r.str()?;
-        let n = r.len()?;
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
-            links.push(LinkId(r.vu()? as usize));
-        }
-        b.path(&path_name, links)?;
-    }
-    let topology = b.build();
-
-    let n_classes = r.len()?;
-    let mut classes = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        let n = r.len()?;
-        let mut class = Vec::with_capacity(n);
-        for _ in 0..n {
-            class.push(PathId(r.vu()? as usize));
-        }
-        classes.push(class);
-    }
+    let topology = codec::get_topology(&mut r)?;
+    let classes = codec::get_classes(&mut r, topology.path_count())?;
 
     let n_diff = r.len()?;
     let mut differentiation = Vec::with_capacity(n_diff);
@@ -642,6 +587,22 @@ mod tests {
             decode_scenario(&b),
             Err(CodecError::TrailingBytes)
         ));
+    }
+
+    #[test]
+    fn out_of_range_class_member_is_a_typed_error() {
+        // The set codec's class reader bounds member ids by the topology's
+        // path count; a job shares that reader, so a bad member fails there
+        // rather than at builder re-validation.
+        let mut s = topology_a_scenario(ExperimentParams {
+            duration_s: 4.0,
+            ..ExperimentParams::default()
+        });
+        s.classes[0].push(PathId(s.topology.path_count()));
+        assert_eq!(
+            decode_scenario(&encode_scenario(&s)).unwrap_err(),
+            CodecError::BadValue("class member path id")
+        );
     }
 
     #[test]

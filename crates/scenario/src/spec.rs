@@ -376,150 +376,33 @@ impl Scenario {
     /// knobs (name, loss threshold, normalization salt, Algorithm 1 config,
     /// expectation), which do not shape the measured counts.
     ///
+    /// It folds the job codec's field walk ([`crate::proto`]'s
+    /// `put_simulation`, the same walk `encode_scenario` writes) into an
+    /// [`Fnv`](nni_measure::Fnv), then the window: duration, interval, and
+    /// the tagged warm-up. Delay recording shapes the measured set (a v2
+    /// delay grid rides along), so it folds in too — but only when enabled,
+    /// which keeps every pre-delay fingerprint unchanged. The delay
+    /// *feature* is an inference knob, like the loss threshold, and stays
+    /// out.
+    ///
     /// Two scenarios with equal fingerprints produce bit-identical
     /// measurement logs at equal seeds; this is what keys the
     /// [`MeasurementCache`](nni_measure::MeasurementCache) and what an
     /// inference-axis sweep dedups on.
     pub fn measurement_fingerprint(&self) -> u64 {
-        use nni_emu::{CcFleet, SizeDist};
         let mut h = nni_measure::Fnv::new();
-        let g = &self.topology;
-        // Topology structure and physical parameters.
-        h.word(g.nodes().len() as u64);
-        for n in g.nodes() {
-            h.word(matches!(n.kind, nni_topology::NodeKind::Relay) as u64);
-            h.str(&n.name);
-        }
-        h.word(g.link_count() as u64);
-        for l in g.links() {
-            h.word(l.src.index() as u64);
-            h.word(l.dst.index() as u64);
-            h.word(l.capacity_bps.to_bits());
-            h.word(l.delay_s.to_bits());
-            h.str(&l.name);
-        }
-        h.word(g.path_count() as u64);
-        for p in g.paths() {
-            h.str(p.name());
-            h.word(p.len() as u64);
-            for l in p.links() {
-                h.word(l.index() as u64);
-            }
-        }
-        // Class partition (rides into the set; also sizes the truth
-        // recorder via `class_label_count`).
-        h.word(self.classes.len() as u64);
-        for class in &self.classes {
-            h.word(class.len() as u64);
-            for p in class {
-                h.word(p.index() as u64);
-            }
-        }
-        // Differentiation placements.
-        let hash_fleet = |h: &mut nni_measure::Fnv, fleet: &CcFleet| match fleet {
-            CcFleet::Uniform(kind) => {
-                h.word(1);
-                h.word(*kind as u64);
-            }
-            CcFleet::Mixed(kinds) => {
-                h.word(2);
-                h.word(kinds.len() as u64);
-                for k in kinds {
-                    h.word(*k as u64);
-                }
-            }
-        };
-        let hash_profile = |h: &mut nni_measure::Fnv, p: &TrafficProfile| {
-            h.word(p.class as u64);
-            hash_fleet(h, &p.cc);
-            match p.size {
-                SizeDist::ParetoMean { mean_bytes, shape } => {
-                    h.word(1);
-                    h.word(mean_bytes.to_bits());
-                    h.word(shape.to_bits());
-                }
-                SizeDist::Fixed { bytes } => {
-                    h.word(2);
-                    h.word(bytes);
-                }
-            }
-            h.word(p.mean_gap_s.to_bits());
-            h.word(p.parallel as u64);
-        };
-        h.word(self.differentiation.len() as u64);
-        for (l, diff) in &self.differentiation {
-            h.word(l.index() as u64);
-            match diff {
-                Differentiation::None => h.word(0),
-                Differentiation::Policing {
-                    class,
-                    rate_bps,
-                    burst_bytes,
-                } => {
-                    h.word(1);
-                    h.word(*class as u64);
-                    h.word(rate_bps.to_bits());
-                    h.word(burst_bytes.to_bits());
-                }
-                Differentiation::Shaping { lanes } => {
-                    h.word(2);
-                    h.word(lanes.len() as u64);
-                    for lane in lanes {
-                        h.word(lane.class as u64);
-                        h.word(lane.rate_bps.to_bits());
-                        h.word(lane.burst_bytes.to_bits());
-                        h.word(lane.buffer_bytes);
-                    }
-                }
-            }
-        }
-        // Traffic.
-        h.word(self.path_traffic.len() as u64);
-        for (p, profile) in &self.path_traffic {
-            h.word(p.index() as u64);
-            hash_profile(&mut h, profile);
-        }
-        h.word(self.background.len() as u64);
-        for bg in &self.background {
-            h.word(bg.links.len() as u64);
-            for l in &bg.links {
-                h.word(l.index() as u64);
-            }
-            h.word(bg.profiles.len() as u64);
-            for profile in &bg.profiles {
-                hash_profile(&mut h, profile);
-            }
-        }
-        // Queue overrides.
-        h.word(self.queue_overrides.len() as u64);
-        for (l, q) in &self.queue_overrides {
-            h.word(l.index() as u64);
-            match q {
-                QueueOverride::Bytes(b) => {
-                    h.word(1);
-                    h.word(*b);
-                }
-                QueueOverride::Packets(n) => {
-                    h.word(2);
-                    h.word(*n as u64);
-                }
-            }
-        }
-        // Simulation window (seed excluded by design).
-        h.word(self.measurement.duration_s.to_bits());
-        h.word(self.measurement.interval_s.to_bits());
-        match self.measurement.warmup_s {
+        crate::proto::put_simulation(&mut h, self);
+        let m = &self.measurement;
+        h.f64(m.duration_s);
+        h.f64(m.interval_s);
+        match m.warmup_s {
             None => h.word(0),
             Some(w) => {
                 h.word(1);
-                h.word(w.to_bits());
+                h.f64(w);
             }
         }
-        // Delay recording shapes the measured set (a v2 delay grid rides
-        // along), so it moves the fingerprint — but only when enabled, which
-        // keeps every pre-delay fingerprint unchanged. The delay *feature*
-        // is an inference knob (like the loss threshold) and stays out.
-        if self.measurement.record_delay {
+        if m.record_delay {
             h.word(1);
         }
         h.0
