@@ -122,15 +122,13 @@ impl WireWriter {
 
 /// What a field walk writes into. One walk per wire structure serves both
 /// of its uses: [`WireWriter`] lays the fields out as bytes, and [`Fnv`]
-/// folds them into a fingerprint (`u8`, `vu` and `u64` as one word each,
-/// `f64` as its bit pattern, `str` length-prefixed).
+/// folds them into a fingerprint (`u8` and `vu` as one word each, `f64` as
+/// its bit pattern, `str` length-prefixed).
 pub trait Sink {
     /// One small tag or flag.
     fn u8(&mut self, v: u8);
     /// A count or index (a varint on the wire).
     fn vu(&mut self, v: u64);
-    /// A full-width integer.
-    fn u64(&mut self, v: u64);
     /// A float, bit-exact.
     fn f64(&mut self, v: f64);
     /// A string.
@@ -143,9 +141,6 @@ impl Sink for WireWriter {
     }
     fn vu(&mut self, v: u64) {
         WireWriter::vu(self, v)
-    }
-    fn u64(&mut self, v: u64) {
-        WireWriter::u64(self, v)
     }
     fn f64(&mut self, v: f64) {
         WireWriter::f64(self, v)
@@ -160,9 +155,6 @@ impl Sink for Fnv {
         self.word(v as u64)
     }
     fn vu(&mut self, v: u64) {
-        self.word(v)
-    }
-    fn u64(&mut self, v: u64) {
         self.word(v)
     }
     fn f64(&mut self, v: f64) {
