@@ -14,7 +14,7 @@
 //! ```
 
 use crate::obs::Observations;
-use crate::slice::{enumerate_slices, normalization_group, spread, Slice};
+use crate::slice::{enumerate_slices, spread, LinkPaths, Slice};
 use nni_linalg::{analyze, default_tolerance};
 use nni_stats::{two_means, SeparationGuard};
 use nni_topology::{LinkSeq, PathId, Topology};
@@ -185,6 +185,11 @@ impl InferenceResult {
 /// vectors vary per call, so [`identify`] (through an [`Observations`]
 /// source) and [`identify_scores`] (caller-supplied `y` vectors) both
 /// consume one.
+///
+/// Each `Paths(τ)` is the AND of the per-link path bitsets of `τ`'s links,
+/// read off as path ids in order: the same list as
+/// [`normalization_group`](crate::normalization_group), which stays the
+/// reference definition, without a sorted-list search per link.
 #[derive(Debug, Clone)]
 pub struct IdentifyPlan {
     slices: Vec<Slice>,
@@ -193,15 +198,16 @@ pub struct IdentifyPlan {
 
 impl IdentifyPlan {
     /// Enumerates and filters the slices of `topology` and precomputes each
-    /// slice's normalization group `Paths(τ)`.
+    /// slice's normalization group `Paths(τ)` from link bitsets.
     pub fn new(topology: &Topology, cfg: &Config) -> IdentifyPlan {
         let slices: Vec<Slice> = enumerate_slices(topology)
             .into_iter()
             .filter(|s| s.pair_count() >= cfg.min_pairs)
             .collect();
+        let link_paths = LinkPaths::new(topology);
         let groups = slices
             .iter()
-            .map(|s| normalization_group(topology, &s.tau))
+            .map(|s| link_paths.through_all(&s.tau))
             .collect();
         IdentifyPlan { slices, groups }
     }
@@ -301,13 +307,21 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
         } => {
             let scores: Vec<f64> = verdicts.iter().map(|v| v.unsolvability).collect();
             let clusters = two_means(&scores, guard);
+            // The median |estimate| by selection, in one reused buffer: the
+            // element a full sort would put at `len / 2`.
+            let mut mags: Vec<f64> = Vec::new();
             for (v, &high) in verdicts.iter_mut().zip(clusters.high.iter()) {
-                let mut mags: Vec<f64> = v.estimates.iter().map(|e| e.estimate.abs()).collect();
-                mags.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
+                mags.clear();
+                mags.extend(v.estimates.iter().map(|e| e.estimate.abs()));
                 let median = if mags.is_empty() {
                     0.0
                 } else {
-                    mags[mags.len() / 2]
+                    let mid = mags.len() / 2;
+                    *mags
+                        .select_nth_unstable_by(mid, |a, b| {
+                            a.partial_cmp(b).expect("finite estimates")
+                        })
+                        .1
                 };
                 let floor = abs_threshold.max(rel_margin * median);
                 v.nonneutral = high || v.unsolvability > floor;

@@ -38,7 +38,7 @@ pub struct Slice {
     /// `δ_p` link index space.
     pub paths: Vec<PathId>,
     /// Each pair's two indices into `paths`, in `pairs` order.
-    rows: Vec<[usize; 2]>,
+    rows: Vec<[u32; 2]>,
 }
 
 impl Slice {
@@ -55,24 +55,34 @@ impl Slice {
             assert_ne!(pair[0], pair[1], "a pair needs two distinct paths");
             pair.sort();
         }
+        Slice::from_sorted_pairs(tau, pairs, &mut Vec::new())
+    }
+
+    /// [`Slice::new`] for non-empty pairs whose members are already
+    /// distinct and sorted. `row_of` is scratch space, path id -> row, that
+    /// [`enumerate_slices`] reuses across its slices.
+    fn from_sorted_pairs(tau: LinkSeq, pairs: Vec<[PathId; 2]>, row_of: &mut Vec<u32>) -> Slice {
         // The participating paths as a bitset over path ids: `paths` is its
-        // set bits in order, and a path's row is its rank among them.
-        let top = pairs.iter().map(|&[_, b]| b.index()).max();
-        let mut bits = vec![0u64; (top.unwrap_or(0) + 1).div_ceil(64)];
+        // set bits in order.
+        let top = pairs.iter().map(|&[_, b]| b.index()).max().unwrap_or(0);
+        let mut bits = vec![0u64; (top + 1).div_ceil(64)];
         for p in pairs.iter().flatten() {
             bits[p.index() / 64] |= 1 << (p.index() % 64);
         }
-        let mut paths = Vec::new();
-        let mut rank = Vec::with_capacity(bits.len());
+        let mut paths = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
         for (w, &word) in bits.iter().enumerate() {
-            rank.push(paths.len());
             paths.extend(set_bits(word).map(|b| PathId(w * 64 + b)));
         }
-        let row = |p: PathId| {
-            let (w, b) = (p.index() / 64, p.index() % 64);
-            rank[w] + (bits[w] & ((1 << b) - 1)).count_ones() as usize
-        };
-        let rows = pairs.iter().map(|&[a, b]| [row(a), row(b)]).collect();
+        if row_of.len() <= top {
+            row_of.resize(top + 1, 0);
+        }
+        for (r, p) in paths.iter().enumerate() {
+            row_of[p.index()] = r as u32;
+        }
+        let rows = pairs
+            .iter()
+            .map(|&[a, b]| [row_of[a.index()], row_of[b.index()]])
+            .collect();
         Slice {
             tau,
             pairs,
@@ -116,7 +126,7 @@ impl Slice {
         }
         for (k, rows) in self.rows.iter().enumerate() {
             for &r in rows {
-                a[(singles + k, 1 + r)] = 1.0;
+                a[(singles + k, 1 + r as usize)] = 1.0;
             }
         }
         a
@@ -135,7 +145,7 @@ impl Slice {
         self.rows
             .iter()
             .zip(pairs)
-            .map(|(&[i, j], yij)| singles[i] + singles[j] - yij)
+            .map(|(&[i, j], yij)| singles[i as usize] + singles[j as usize] - yij)
             .collect()
     }
 
@@ -173,9 +183,16 @@ struct MaskHasher(u64);
 
 impl Hasher for MaskHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        // Whole words first: a mask's bytes are all whole words, and
+        // `chunks_exact` lets them load without a copy per word.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word[..rest.len()].copy_from_slice(rest);
             self.write_u64(u64::from_le_bytes(word));
         }
     }
@@ -189,6 +206,54 @@ impl Hasher for MaskHasher {
     }
 }
 
+/// Each link's paths as a bitset of `⌈P/64⌉` words: bit `i` of link `l`'s
+/// row is set when path `i` traverses `l`.
+pub(crate) struct LinkPaths {
+    paths: usize,
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl LinkPaths {
+    pub(crate) fn new(topology: &Topology) -> LinkPaths {
+        let words = topology.path_count().div_ceil(64);
+        let mut rows = vec![0u64; topology.link_count() * words];
+        for (i, path) in topology.paths().iter().enumerate() {
+            for l in path.links() {
+                rows[l.index() * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+        LinkPaths {
+            paths: topology.path_count(),
+            words,
+            rows,
+        }
+    }
+
+    fn row(&self, l: LinkId) -> &[u64] {
+        &self.rows[l.index() * self.words..(l.index() + 1) * self.words]
+    }
+
+    /// `Paths(τ)` as the AND of the rows of `τ`'s links: the
+    /// [`normalization_group`] of `tau`, without a search per link.
+    pub(crate) fn through_all(&self, tau: &LinkSeq) -> Vec<PathId> {
+        let mut all = vec![u64::MAX; self.words];
+        if let Some(last) = all.last_mut() {
+            *last >>= self.words * 64 - self.paths;
+        }
+        for &l in tau.links() {
+            for (a, r) in all.iter_mut().zip(self.row(l)) {
+                *a &= r;
+            }
+        }
+        let mut out = Vec::with_capacity(all.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &word) in all.iter().enumerate() {
+            out.extend(set_bits(word).map(|b| PathId(w * 64 + b)));
+        }
+        out
+    }
+}
+
 /// Enumerates every candidate slice of the network: path pairs are grouped
 /// by their shared link set (Algorithm 1, lines 2–8). Pairs sharing nothing
 /// are skipped. Slices are returned sorted by `τ` for determinism, each
@@ -196,31 +261,31 @@ impl Hasher for MaskHasher {
 ///
 /// Each path's links are a bitset of `⌈L/64⌉` words, so a pair's shared
 /// links are the AND of two bitsets, and pairs group under those words.
-/// Each link's paths are a bitset too: the OR of path `i`'s link rows,
-/// above bit `i`, is exactly the paths `j > i` that share a link with it,
-/// so pairs that share nothing are never visited.
+/// Each link's paths are a bitset too (`LinkPaths`): the OR of path `i`'s
+/// link rows, above bit `i`, is exactly the paths `j > i` that share a link
+/// with it, so pairs that share nothing are never visited.
 pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
     let paths = topology.paths();
     let words = topology.link_count().div_ceil(64);
-    let path_words = paths.len().div_ceil(64);
     let mut masks = vec![0u64; paths.len() * words];
-    let mut on_link = vec![0u64; topology.link_count() * path_words];
-    for (i, (mask, path)) in masks.chunks_exact_mut(words).zip(paths).enumerate() {
+    for (mask, path) in masks.chunks_exact_mut(words).zip(paths) {
         for l in path.links() {
             mask[l.index() / 64] |= 1 << (l.index() % 64);
-            on_link[l.index() * path_words + i / 64] |= 1 << (i % 64);
         }
     }
+    let on_link = LinkPaths::new(topology);
     let mask = |i: usize| &masks[i * words..(i + 1) * words];
-    let mut index: HashMap<Vec<u64>, usize, BuildHasherDefault<MaskHasher>> = HashMap::default();
-    let mut groups: Vec<Vec<[PathId; 2]>> = Vec::new();
+    let mut index: HashMap<Vec<u64>, u32, BuildHasherDefault<MaskHasher>> = HashMap::default();
+    // Every pair as (group, i, j) in enumeration order, and each group's
+    // pair count: the groups are then filled at their exact sizes.
+    let mut found: Vec<[u32; 3]> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::new();
     let mut shared = vec![0u64; words];
-    let mut partners = vec![0u64; path_words];
+    let mut partners = vec![0u64; on_link.words];
     for (i, path) in paths.iter().enumerate() {
         partners.fill(0);
-        for l in path.links() {
-            let row = &on_link[l.index() * path_words..(l.index() + 1) * path_words];
-            for (p, r) in partners.iter_mut().zip(row) {
+        for &l in path.links() {
+            for (p, r) in partners.iter_mut().zip(on_link.row(l)) {
                 *p |= r;
             }
         }
@@ -236,15 +301,21 @@ pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
                 let g = match index.get(shared.as_slice()) {
                     Some(&g) => g,
                     None => {
-                        groups.push(Vec::new());
-                        index.insert(shared.clone(), groups.len() - 1);
-                        groups.len() - 1
+                        sizes.push(0);
+                        index.insert(shared.clone(), sizes.len() as u32 - 1);
+                        sizes.len() as u32 - 1
                     }
                 };
-                groups[g].push([path.id(), paths[j].id()]);
+                sizes[g as usize] += 1;
+                found.push([g, i as u32, j as u32]);
             }
         }
     }
+    let mut groups: Vec<Vec<[PathId; 2]>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for &[g, i, j] in &found {
+        groups[g as usize].push([paths[i as usize].id(), paths[j as usize].id()]);
+    }
+    let mut row_of = Vec::new();
     let mut slices: Vec<Slice> = index
         .into_iter()
         .map(|(shared, g)| {
@@ -253,7 +324,8 @@ pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
                 .enumerate()
                 .flat_map(|(w, &word)| set_bits(word).map(move |b| LinkId(w * 64 + b)))
                 .collect();
-            Slice::new(LinkSeq::new(links), std::mem::take(&mut groups[g]))
+            let pairs = std::mem::take(&mut groups[g as usize]);
+            Slice::from_sorted_pairs(LinkSeq::new(links), pairs, &mut row_of)
         })
         .collect();
     slices.sort_by(|a, b| a.tau.cmp(&b.tau));

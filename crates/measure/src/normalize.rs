@@ -39,8 +39,19 @@ static INTERVAL_EVALS: AtomicU64 = AtomicU64::new(0);
 
 /// Total per-(group, interval) indicator evaluations since process start
 /// (monotonic; probe by delta).
+///
+/// The engine adds one per (distinct group, interval) it folds, whether it
+/// evaluated that cell or skipped it because some group path sent nothing
+/// (no common packet budget, so the cell is uninformative by definition).
+/// The count is therefore the work a fold is responsible for, not the
+/// indicator columns it happened to compute.
 pub fn interval_eval_count() -> u64 {
     INTERVAL_EVALS.load(Ordering::Relaxed)
+}
+
+/// Adds `n` (group, interval) evaluations to [`interval_eval_count`].
+pub(crate) fn count_evals(n: u64) {
+    INTERVAL_EVALS.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Exact hypergeometric draw: out of `total` packets of which `marked` are
@@ -115,6 +126,7 @@ pub fn group_indicators(
     let baselines: Vec<Option<f64>> = group.iter().map(|&p| log.delay_baseline(p)).collect();
     let mut out = vec![Vec::with_capacity(t_max); group.len()];
     let mut col = vec![None; group.len()];
+    count_evals(t_max as u64);
     for t in 0..t_max {
         indicator_column(log, group, t, cfg, &baselines, &mut col);
         for (row, &s) in out.iter_mut().zip(&col) {
@@ -141,7 +153,6 @@ pub(crate) fn indicator_column(
     baselines: &[Option<f64>],
     col: &mut [Option<bool>],
 ) {
-    INTERVAL_EVALS.fetch_add(1, Ordering::Relaxed);
     col.fill(None);
     let m = group.iter().map(|&p| log.sent(t, p)).min().unwrap_or(0);
     if m == 0 {

@@ -20,11 +20,19 @@
 //! congestion-free words. An optional sliding window bounds the counters to
 //! the last `W` intervals by remembering those words in a `W`-bit ring per
 //! group path, plus one per group for informativeness.
+//!
+//! The fold skips what cannot change a count. An interval in which some
+//! group path sent nothing has no common packet budget, so it is
+//! uninformative for every pathset of the group. Each chunk first builds
+//! one "sent anything" word per registered path; a group's informative
+//! word is the AND of its paths' words, its indicators are evaluated only
+//! at the set bits, and a chunk whose word is zero leaves the group's
+//! pathsets untouched.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::normalize::{indicator_column, perf_from_counts, NormalizeConfig};
+use crate::normalize::{count_evals, indicator_column, perf_from_counts, NormalizeConfig};
 use crate::record::MeasurementLog;
 use nni_topology::PathId;
 
@@ -135,9 +143,19 @@ impl StreamingLog {
 
 #[derive(Debug, Clone)]
 struct SetState {
-    /// This pathset's member rows: a range of the group's `members`.
-    members: Range<usize>,
-    cf: usize,
+    /// This pathset's member rows: `lo..hi` of the group's `members`.
+    lo: u32,
+    hi: u32,
+    /// Congestion-free intervals counted (at most the consumed intervals:
+    /// 2^32 of them are 13 years at 100 ms).
+    cf: u32,
+}
+
+impl SetState {
+    /// This pathset's member rows out of its group's `members`.
+    fn rows<'a>(&self, members: &'a [u32]) -> &'a [u32] {
+        &members[self.lo as usize..self.hi as usize]
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -145,8 +163,11 @@ struct GroupState {
     /// Sorted, deduplicated: identical groups share one state, and the
     /// discounting draws depend only on the members, not their order.
     paths: Vec<PathId>,
+    /// Each group path's row in the engine's `paths`: the activity word
+    /// it reads.
+    active: Vec<u32>,
     /// Every pathset's member rows into `paths`, concatenated.
-    members: Vec<usize>,
+    members: Vec<u32>,
     sets: Vec<SetState>,
     /// Informative intervals counted: the same for every pathset of the
     /// group, because informativeness is a property of the whole column.
@@ -174,18 +195,32 @@ struct GroupState {
 /// Intervals are folded in chunks of up to 64 as packed bit masks: one
 /// congestion-free word per group path and one informative word per group,
 /// so a pathset's count grows by the popcount of its members' ANDed words.
-/// A window keeps the last `W` intervals of those words in a `W`-bit ring
-/// per group path (plus one per group for informativeness).
+/// The informative word comes first, and cheaply: it is the AND of the
+/// group paths' "sent anything" words, which each chunk builds once per
+/// path the engine holds. Only its set bits are evaluated; a chunk in which
+/// the group has no common packet budget at all costs the group one AND
+/// per path and leaves its pathsets untouched. A window keeps the last `W`
+/// intervals of those words in a `W`-bit ring per group path (plus one per
+/// group for informativeness).
+///
+/// The per-pathset state is 12 bytes: member bounds and the congestion-free
+/// count as `u32`s.
 #[derive(Debug, Clone)]
 pub struct SlidingCounts {
     cfg: NormalizeConfig,
     window: Option<usize>,
+    /// Every path some group holds, sorted: the rows of the activity words.
+    paths: Vec<PathId>,
     groups: Vec<GroupState>,
     /// Per slice: its group and the range of its pathsets in that group's
     /// `sets` — the layout [`ys`](SlidingCounts::ys) returns.
     slices: Vec<(usize, Range<usize>)>,
     consumed: usize,
 }
+
+/// A row index of a registered path or pathset member, or the absence of
+/// one.
+const NO_ROW: u32 = u32::MAX;
 
 impl SlidingCounts {
     /// Counters for `slices`, each a normalization group with the member
@@ -210,12 +245,13 @@ impl SlidingCounts {
     {
         assert_ne!(window, Some(0), "window must be non-empty");
         let row_words = window.map_or(0, |w| w.div_ceil(64));
+        let slices = slices.into_iter();
         let mut index: HashMap<Vec<PathId>, usize> = HashMap::new();
         let mut groups: Vec<GroupState> = Vec::new();
-        let mut layout = Vec::new();
-        // Path id -> row in the group being registered, `None` elsewhere:
+        let mut layout = Vec::with_capacity(slices.size_hint().0);
+        // Path id -> row in the group being registered, `NO_ROW` elsewhere:
         // filled from the group's paths before its pathsets, cleared after.
-        let mut row_of: Vec<Option<usize>> = Vec::new();
+        let mut row_of: Vec<u32> = Vec::new();
         for (group, pathsets) in slices {
             let mut paths = group.to_vec();
             paths.sort();
@@ -223,6 +259,7 @@ impl SlidingCounts {
             let gid = *index.entry(paths).or_insert_with_key(|paths| {
                 groups.push(GroupState {
                     paths: paths.clone(),
+                    active: Vec::new(),
                     members: Vec::new(),
                     sets: Vec::new(),
                     informative: 0,
@@ -232,36 +269,59 @@ impl SlidingCounts {
             });
             let g = &mut groups[gid];
             if let Some(top) = g.paths.last() {
-                row_of.resize(row_of.len().max(top.index() + 1), None);
+                row_of.resize(row_of.len().max(top.index() + 1), NO_ROW);
             }
             for (r, p) in g.paths.iter().enumerate() {
-                row_of[p.index()] = Some(r);
+                row_of[p.index()] = r as u32;
             }
+            let pathsets = pathsets.into_iter();
             let start = g.sets.len();
+            g.sets.reserve(pathsets.size_hint().0);
+            g.members.reserve(pathsets.size_hint().0);
             for pathset in pathsets {
                 let pathset = pathset.as_ref();
                 assert!(!pathset.is_empty(), "pathsets are non-empty");
-                let from = g.members.len();
+                let lo = g.members.len();
                 g.members.extend(pathset.iter().map(|p| {
                     row_of
                         .get(p.index())
                         .copied()
-                        .flatten()
+                        .filter(|&r| r != NO_ROW)
                         .expect("pathset members must belong to the normalization group")
                 }));
+                let hi = u32::try_from(g.members.len()).expect("under 2^32 members per group");
                 g.sets.push(SetState {
-                    members: from..g.members.len(),
+                    lo: lo as u32,
+                    hi,
                     cf: 0,
                 });
             }
             for p in &g.paths {
-                row_of[p.index()] = None;
+                row_of[p.index()] = NO_ROW;
             }
             layout.push((gid, start..g.sets.len()));
+        }
+        // The engine's paths: every group path once, in id order. `row_of`
+        // is all `NO_ROW` again and spans every group path; a one-slice
+        // engine must not pay for a walk over all of it.
+        let mut paths = Vec::new();
+        for &p in groups.iter().flat_map(|g| &g.paths) {
+            if row_of[p.index()] == NO_ROW {
+                row_of[p.index()] = 0;
+                paths.push(p);
+            }
+        }
+        paths.sort_unstable();
+        for (r, p) in paths.iter().enumerate() {
+            row_of[p.index()] = r as u32;
+        }
+        for g in &mut groups {
+            g.active = g.paths.iter().map(|p| row_of[p.index()]).collect();
         }
         SlidingCounts {
             cfg,
             window,
+            paths,
             groups,
             slices: layout,
             consumed: 0,
@@ -274,9 +334,10 @@ impl SlidingCounts {
     }
 
     /// Folds closed intervals `consumed..through` of `log` into the
-    /// counters. Each interval is evaluated once per distinct group — the
+    /// counters. Each interval is folded once per distinct group — the
     /// work unit [`interval_eval_count`](crate::interval_eval_count)
-    /// counts.
+    /// counts, whether the group's indicators were evaluated or skipped
+    /// for want of a common packet budget.
     ///
     /// # Panics
     ///
@@ -297,34 +358,81 @@ impl SlidingCounts {
                 "a delay feature needs one advance over the whole log (its baselines are whole-log statistics)"
             );
         }
+        count_evals((self.groups.len() * (through - self.consumed)) as u64);
+        // A chunk stops at a ring word's end and at the ring's end: its
+        // slots are one bit run in one word per row, and it is no longer
+        // than `W`, so they hold exactly the intervals `W` before its own.
+        // The first lap ends at the ring's end, so a chunk evicts all of
+        // its slots (`t >= W`) or none.
+        let mut chunks = Vec::new();
+        let mut t = self.consumed;
+        while t < through {
+            let len = match self.window {
+                None => (through - t).min(64),
+                Some(w) => (through - t).min(w - t % w).min(64 - t % w % 64),
+            };
+            chunks.push(t..t + len);
+            t += len;
+        }
+        // Bit `k` of chunk `c`'s word for engine path `r` is set when that
+        // path sent anything in interval `chunks[c].start + k`.
+        let n = self.paths.len();
+        let mut activity = vec![0u64; chunks.len() * n];
+        for (ts, words) in chunks.iter().zip(activity.chunks_exact_mut(n.max(1))) {
+            for (k, t) in ts.clone().enumerate() {
+                for (word, &p) in words.iter_mut().zip(&self.paths) {
+                    *word |= u64::from(log.sent(t, p) > 0) << k;
+                }
+            }
+        }
         let width = self.groups.iter().map(|g| g.paths.len()).max();
         let mut col = vec![None; width.unwrap_or(0)];
         let mut words = vec![0u64; width.unwrap_or(0)];
         let mut baselines = Vec::new();
         for g in &mut self.groups {
-            if self.cfg.delay.is_some() {
-                baselines = g.paths.iter().map(|&p| log.delay_baseline(p)).collect();
-            }
             let col = &mut col[..g.paths.len()];
             let words = &mut words[..g.paths.len()];
-            let mut t = self.consumed;
-            while t < through {
-                // A chunk stops at a ring word's end and at the ring's end:
-                // its slots are one bit run in one word per row, and it is
-                // no longer than `W`, so they hold exactly the intervals `W`
-                // before its own. The first lap ends at the ring's end, so
-                // a chunk evicts all of its slots (`t >= W`) or none.
-                let len = match self.window {
-                    None => (through - t).min(64),
-                    Some(w) => (through - t).min(w - t % w).min(64 - t % w % 64),
+            baselines.clear();
+            for (c, ts) in chunks.iter().enumerate() {
+                let len = ts.len();
+                // `indicator_column`'s `m > 0` test for the whole chunk:
+                // every group path sent something.
+                let informative = if g.active.is_empty() {
+                    0
+                } else {
+                    let act = &activity[c * n..(c + 1) * n];
+                    g.active
+                        .iter()
+                        .fold(u64::MAX, |acc, &r| acc & act[r as usize])
                 };
-                let informative =
-                    fold_chunk(log, &g.paths, t..t + len, self.cfg, &baselines, col, words);
-                for s in &mut g.sets {
-                    s.cf += and_count(words, &g.members[s.members.clone()], len);
+                words.fill(0);
+                if informative != 0 {
+                    if self.cfg.delay.is_some() && baselines.is_empty() {
+                        baselines.extend(g.paths.iter().map(|&p| log.delay_baseline(p)));
+                    }
+                    // Bit `k` of `words[r]`: group path `r` was
+                    // congestion-free in interval `ts.start + k`.
+                    // `indicator_column` marks a whole column `None` (no
+                    // common budget) or a whole column `Some`, so every
+                    // congestion-free bit lies inside the informative word,
+                    // and only its set bits need a column.
+                    let mut bits = informative;
+                    while bits != 0 {
+                        let k = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let t = ts.start + k as usize;
+                        indicator_column(log, &g.paths, t, self.cfg, &baselines, col);
+                        for (word, &cell) in words.iter_mut().zip(col.iter()) {
+                            *word |= u64::from(cell == Some(true)) << k;
+                        }
+                    }
+                    for s in &mut g.sets {
+                        s.cf += and_count(words, s.rows(&g.members), len);
+                    }
+                    g.informative += ones(informative, len);
                 }
-                g.informative += ones(informative, len);
                 if let Some(w) = self.window {
+                    let t = ts.start;
                     let row_words = w.div_ceil(64);
                     let (slot, shift) = (t % w / 64, t % w % 64);
                     let run = (u64::MAX >> (64 - len)) << shift;
@@ -340,14 +448,15 @@ impl SlidingCounts {
                     for (r, word) in words.iter_mut().enumerate() {
                         *word = swap(r, *word);
                     }
-                    if t >= w {
+                    // Every evicted congestion-free bit lies inside the
+                    // evicted informative word.
+                    if t >= w && evicted != 0 {
                         g.informative -= ones(evicted, len);
                         for s in &mut g.sets {
-                            s.cf -= and_count(words, &g.members[s.members.clone()], len);
+                            s.cf -= and_count(words, s.rows(&g.members), len);
                         }
                     }
                 }
-                t += len;
             }
         }
         self.consumed = through;
@@ -363,7 +472,7 @@ impl SlidingCounts {
                 let g = &self.groups[*g];
                 g.sets[sets.clone()]
                     .iter()
-                    .map(|s| perf_from_counts(s.cf, g.informative))
+                    .map(|s| perf_from_counts(s.cf as usize, g.informative))
                     .collect()
             })
             .collect()
@@ -385,42 +494,13 @@ impl SlidingCounts {
     }
 }
 
-/// Folds intervals `ts` (at most 64) of one group into packed masks: bit
-/// `k` of `words[r]` is set when group path `r` was congestion-free in
-/// interval `ts.start + k`, and bit `k` of the returned word when that
-/// interval was informative.
-///
-/// [`indicator_column`] marks a whole column `None` (some group path sent
-/// nothing, so there is no common budget) or a whole column `Some`. So
-/// informativeness is one bit per group rather than per path, and every
-/// congestion-free bit lies inside the informative word.
-fn fold_chunk(
-    log: &MeasurementLog,
-    paths: &[PathId],
-    ts: Range<usize>,
-    cfg: NormalizeConfig,
-    baselines: &[Option<f64>],
-    col: &mut [Option<bool>],
-    words: &mut [u64],
-) -> u64 {
-    words.fill(0);
-    let mut informative = 0;
-    for (k, t) in ts.enumerate() {
-        indicator_column(log, paths, t, cfg, baselines, col);
-        if col.first().is_some_and(Option::is_some) {
-            informative |= 1 << k;
-        }
-        for (word, &cell) in words.iter_mut().zip(col.iter()) {
-            *word |= u64::from(cell == Some(true)) << k;
-        }
-    }
-    informative
-}
-
 /// The intervals of a `len`-interval chunk in which every member row of a
 /// pathset is set: the popcount of the members' ANDed words.
-fn and_count(words: &[u64], rows: &[usize], len: usize) -> usize {
-    ones(rows.iter().fold(u64::MAX, |acc, &r| acc & words[r]), len)
+fn and_count(words: &[u64], rows: &[u32], len: usize) -> u32 {
+    let all = rows
+        .iter()
+        .fold(u64::MAX, |acc, &r| acc & words[r as usize]);
+    ones(all, len) as u32
 }
 
 /// The set bits of `w`, a word of a `len`-interval chunk (bits `len..`

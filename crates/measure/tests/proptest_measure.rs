@@ -11,19 +11,47 @@ use rand::{Rng, SeedableRng};
 
 /// Strategy: a random measurement log for `paths` paths over `t` intervals
 /// (up to 200, so the engine's folds span several 64-interval words and a
-/// window above 64 wraps its ring).
+/// window above 64 wraps its ring), with a few starved paths on top.
+///
+/// A uniform `sent` leaves a silent cell a 1-in-500 event, so every
+/// 64-interval word would carry some common packet budget. The starved runs
+/// silence one path for a single interval, part of a word, or whole words
+/// (starting on a word boundary or not, up to the whole log): any group
+/// holding that path is uninformative there, so the engine sees chunks with
+/// no informative interval, chunks with some, and window evictions of both.
 fn log_strategy() -> impl Strategy<Value = MeasurementLog> {
     (2usize..=4, 5usize..=200).prop_flat_map(|(paths, intervals)| {
-        prop::collection::vec((0u64..500, 0.0..0.3f64), paths * intervals).prop_map(move |cells| {
-            let mut log = MeasurementLog::new(paths, 0.1);
-            for (idx, &(sent, loss_frac)) in cells.iter().enumerate() {
-                let t = idx / paths;
-                let p = PathId(idx % paths);
-                log.record_sent(t, p, sent);
-                log.record_lost(t, p, (sent as f64 * loss_frac) as u64);
-            }
-            log
-        })
+        let run = (
+            0..paths,
+            0..intervals,
+            0usize..3,
+            2usize..40,
+            64usize..=200,
+            prop::bool::ANY,
+        )
+            .prop_map(|(p, start, kind, part, words, aligned)| {
+                let len = [1, part, words][kind];
+                let start = if aligned { start / 64 * 64 } else { start };
+                (p, start..start + len)
+            });
+        (
+            prop::collection::vec((0u64..500, 0.0..0.3f64), paths * intervals),
+            prop::collection::vec(run, 0..=4),
+        )
+            .prop_map(move |(cells, starved)| {
+                let mut log = MeasurementLog::new(paths, 0.1);
+                for (idx, &(sent, loss_frac)) in cells.iter().enumerate() {
+                    let t = idx / paths;
+                    let p = PathId(idx % paths);
+                    let silent = starved
+                        .iter()
+                        .any(|(q, ts)| *q == p.index() && ts.contains(&t));
+                    let sent = if silent { 0 } else { sent };
+                    log.record_sent(t, p, sent);
+                    log.record_lost(t, p, (sent as f64 * loss_frac) as u64);
+                }
+                log
+            })
     })
 }
 
