@@ -14,10 +14,11 @@
 //! ```
 
 use crate::obs::Observations;
-use crate::slice::{enumerate_slices, spread, LinkPaths, Slice};
+use crate::slice::{enumerate_slices, LinkPaths, Slice};
 use nni_linalg::{analyze, default_tolerance};
 use nni_stats::{two_means, SeparationGuard};
 use nni_topology::{LinkSeq, PathId, Topology};
+use std::collections::HashSet;
 
 /// How to decide whether a slice's System 4 "has a solution".
 #[derive(Debug, Clone, Copy)]
@@ -142,10 +143,13 @@ impl InferenceResult {
     }
 
     /// FNV-1a over every field — slice verdicts (estimates and scores as
-    /// f64 bit patterns) and all three sequence lists. Exactly as strict as
-    /// `PartialEq`: two results compare equal iff they fingerprint equal
-    /// (up to hash collisions). The golden-corpus gate pins these values
-    /// across codec versions.
+    /// f64 bit patterns) and all three sequence lists. Two results
+    /// fingerprint equal iff they are equal field by field with every f64
+    /// compared by its bit pattern (up to hash collisions). That is not
+    /// `PartialEq`: `-0.0` and `0.0` compare equal but fingerprint apart
+    /// (`perf_from_counts` returns `-0.0` when every informative interval
+    /// is congestion-free), and a NaN fingerprints equal to itself. The
+    /// golden-corpus gate pins these values across codec versions.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::fnv::Fnv::new();
         let seq = |h: &mut crate::fnv::Fnv, s: &LinkSeq| {
@@ -253,6 +257,13 @@ pub fn identify(topology: &Topology, obs: &impl Observations, cfg: Config) -> In
 /// inference, one closed interval at a time for streaming — and the
 /// (cheap, slice-count-sized) decision re-runs here, so every emitted
 /// verdict is the same pure function of `(ys, cfg)`.
+///
+/// Each slice's estimates and their spread come from one pass over its
+/// pairs. In clustered mode the median |estimate| is only selected for a
+/// slice that is not in the high cluster and whose unsolvability exceeds
+/// `abs_threshold`: the floor `max(abs_threshold, rel_margin · median)`
+/// is at least `abs_threshold`, so the median cannot decide any other
+/// slice. A NaN estimate in a slice of two or more pairs panics either way.
 pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> InferenceResult {
     let slices = &plan.slices;
     assert_eq!(
@@ -261,71 +272,58 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
         "one observation vector per plan slice"
     );
 
-    // Per-slice scores from the observation vectors.
+    // Per-slice scores from the observation vectors; exact mode decides
+    // each slice here, clustered mode below.
     let mut verdicts: Vec<SliceVerdict> = Vec::with_capacity(slices.len());
-    let mut exact_flags: Vec<bool> = Vec::with_capacity(slices.len());
+    let mut nan: Vec<bool> = Vec::with_capacity(slices.len());
     for (s, y) in slices.iter().zip(ys) {
-        let pair_estimates = s.pair_estimates(y);
-        let unsolvability = spread(&pair_estimates);
-        let estimates: Vec<PairEstimate> = s
-            .pairs
-            .iter()
-            .zip(pair_estimates)
-            .map(|(&[a, b], estimate)| PairEstimate {
-                pair: (a, b),
-                estimate,
-            })
-            .collect();
-        let exact_unsolvable = match cfg.mode {
+        let (estimates, unsolvability, has_nan) = s.estimates(y);
+        let nonneutral = match cfg.mode {
             DecisionMode::Exact { tol } => {
                 let a = s.routing_matrix();
                 let tol = tol.max(default_tolerance(&a.augment_col(y)));
                 !analyze(&a, y, tol).is_consistent()
             }
-            DecisionMode::Clustered { .. } => false, // decided below
+            DecisionMode::Clustered { .. } => false,
         };
-        exact_flags.push(exact_unsolvable);
+        nan.push(has_nan);
         verdicts.push(SliceVerdict {
             tau: s.tau.clone(),
             estimates,
             unsolvability,
-            nonneutral: false,
+            nonneutral,
         });
     }
 
-    // Decide solvability.
-    match cfg.mode {
-        DecisionMode::Exact { .. } => {
-            for (v, flag) in verdicts.iter_mut().zip(exact_flags) {
-                v.nonneutral = flag;
+    if let DecisionMode::Clustered {
+        guard,
+        abs_threshold,
+        rel_margin,
+    } = cfg.mode
+    {
+        let scores: Vec<f64> = verdicts.iter().map(|v| v.unsolvability).collect();
+        let clusters = two_means(&scores, guard);
+        // The median |estimate| by selection, in one reused buffer: the
+        // element a full sort would put at `len / 2`.
+        let mut mags: Vec<f64> = Vec::new();
+        for ((v, &high), &has_nan) in verdicts.iter_mut().zip(&clusters.high).zip(&nan) {
+            // `!(u <= abs_threshold)`, which a NaN threshold also passes.
+            let median_decides =
+                !high && (v.unsolvability > abs_threshold || abs_threshold.is_nan());
+            if !median_decides {
+                // Selecting among two or more estimates compares every one.
+                assert!(!(has_nan && v.estimates.len() >= 2), "finite estimates");
+                v.nonneutral = high;
+                continue;
             }
-        }
-        DecisionMode::Clustered {
-            guard,
-            abs_threshold,
-            rel_margin,
-        } => {
-            let scores: Vec<f64> = verdicts.iter().map(|v| v.unsolvability).collect();
-            let clusters = two_means(&scores, guard);
-            // The median |estimate| by selection, in one reused buffer: the
-            // element a full sort would put at `len / 2`.
-            let mut mags: Vec<f64> = Vec::new();
-            for (v, &high) in verdicts.iter_mut().zip(clusters.high.iter()) {
-                mags.clear();
-                mags.extend(v.estimates.iter().map(|e| e.estimate.abs()));
-                let median = if mags.is_empty() {
-                    0.0
-                } else {
-                    let mid = mags.len() / 2;
-                    *mags
-                        .select_nth_unstable_by(mid, |a, b| {
-                            a.partial_cmp(b).expect("finite estimates")
-                        })
-                        .1
-                };
-                let floor = abs_threshold.max(rel_margin * median);
-                v.nonneutral = high || v.unsolvability > floor;
-            }
+            mags.clear();
+            mags.extend(v.estimates.iter().map(|e| e.estimate.abs()));
+            let mid = mags.len() / 2;
+            let median = *mags
+                .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite estimates"))
+                .1;
+            let floor = abs_threshold.max(rel_margin * median);
+            v.nonneutral = v.unsolvability > floor;
         }
     }
 
@@ -356,27 +354,59 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
 /// Because all candidate `τ_i` must be subsets of `τ`, the union of *all*
 /// subset-candidates is the maximal reachable union; the existential check
 /// reduces to comparing that union with `τ` and checking that some
-/// non-neutral candidate exists.
+/// non-neutral candidate exists. Candidates from `nonneutral` exclude every
+/// entry equal to `τ`; candidates from `neutral` do not, and a neutral
+/// entry equal to some non-neutral one counts as non-neutral. The kept
+/// sequences are returned in input order, duplicates included.
+///
+/// Every sequence is a bitset of `⌈L/64⌉` words plus the OR of those words,
+/// so most non-subsets are rejected by one AND, and the union is an OR
+/// into one reused bitset.
 pub fn remove_redundant(nonneutral: &[LinkSeq], neutral: &[LinkSeq]) -> Vec<LinkSeq> {
+    let all = || nonneutral.iter().chain(neutral);
+    let links = all()
+        .filter_map(|s| s.links().last())
+        .map(|l| l.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let words = links.div_ceil(64).max(1);
+    let mut masks = vec![0u64; (nonneutral.len() + neutral.len()) * words];
+    let mut folds = Vec::with_capacity(nonneutral.len() + neutral.len());
+    for (mask, s) in masks.chunks_exact_mut(words).zip(all()) {
+        for l in s.links() {
+            mask[l.index() / 64] |= 1 << (l.index() % 64);
+        }
+        folds.push(mask.iter().fold(0, |f, w| f | w));
+    }
+    let mask = |i: usize| &masks[i * words..(i + 1) * words];
+    let subset = |i: usize, j: usize| {
+        folds[i] & !folds[j] == 0 && mask(i).iter().zip(mask(j)).all(|(a, b)| a & !b == 0)
+    };
+    // Whether each candidate counts as non-neutral: every `nonneutral`
+    // entry, and each `neutral` entry equal to one of them.
+    let bad: HashSet<&LinkSeq> = nonneutral.iter().collect();
+    let counts: Vec<bool> = all().map(|t| bad.contains(t)).collect();
+    let n = nonneutral.len();
+    let mut union = vec![0u64; words];
     nonneutral
         .iter()
-        .filter(|tau| {
-            let candidates: Vec<&LinkSeq> = nonneutral
-                .iter()
-                .filter(|t| *t != *tau && t.is_subset_of(tau))
-                .chain(neutral.iter().filter(|t| t.is_subset_of(tau)))
-                .collect();
-            let has_nonneutral = candidates.iter().any(|t| nonneutral.contains(t));
-            if !has_nonneutral {
-                return true; // keep: cannot be covered with a non-neutral member
+        .enumerate()
+        .filter(|&(i, _)| {
+            union.fill(0);
+            let mut has_nonneutral = false;
+            for c in (0..counts.len()).filter(|&c| subset(c, i)) {
+                if c < n && mask(c) == mask(i) {
+                    continue; // τ itself, or a duplicate of it
+                }
+                has_nonneutral |= counts[c];
+                for (u, w) in union.iter_mut().zip(mask(c)) {
+                    *u |= w;
+                }
             }
-            let mut union = LinkSeq::new(Vec::new());
-            for c in &candidates {
-                union = union.union(c);
-            }
-            union != **tau // keep unless fully covered
+            // Keep unless some non-neutral candidate helps cover τ fully.
+            !has_nonneutral || union != mask(i)
         })
-        .cloned()
+        .map(|(_, tau)| tau.clone())
         .collect()
 }
 
@@ -472,6 +502,52 @@ mod tests {
                 "sequence {s} wrongly identified"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite estimates")]
+    fn nan_estimate_panics_without_a_median() {
+        // Figure 5's one slice has three pairs. With `y{p0}` NaN and a
+        // threshold no spread reaches, the median cannot decide it, but a
+        // NaN among two or more estimates still panics, as it did when
+        // every slice took its median.
+        let t = figure5();
+        let plan = IdentifyPlan::new(&t.topology, &Config::exact());
+        let mut y = vec![0.0; plan.slices()[0].pathset_count()];
+        y[0] = f64::NAN;
+        let cfg = Config {
+            min_pairs: 2,
+            mode: DecisionMode::Clustered {
+                guard: SeparationGuard::default(),
+                abs_threshold: 1e9,
+                rel_margin: 1.0,
+            },
+        };
+        identify_scores(&plan, &[y], cfg);
+    }
+
+    #[test]
+    fn nan_estimate_in_a_one_pair_slice_is_neutral() {
+        let t = topology_b();
+        let cfg = Config {
+            min_pairs: 1,
+            ..Config::clustered()
+        };
+        let plan = IdentifyPlan::new(&t.topology, &cfg);
+        let lone = plan
+            .slices()
+            .iter()
+            .position(|s| s.pair_count() == 1)
+            .expect("topology B has a one-pair slice");
+        let mut ys: Vec<Vec<f64>> = plan
+            .slices()
+            .iter()
+            .map(|s| vec![0.0; s.pathset_count()])
+            .collect();
+        ys[lone][0] = f64::NAN;
+        let r = identify_scores(&plan, &ys, cfg);
+        assert!(r.verdicts[lone].estimates[0].estimate.is_nan());
+        assert!(!r.verdicts[lone].nonneutral);
     }
 
     #[test]

@@ -4,8 +4,32 @@
 //! corpora, inference replays) all pin FNV-1a values; a single shared
 //! implementation keeps a constant typo in one place from silently
 //! diverging the fingerprint families. `nni-measure` re-exports this type.
+//!
+//! A zero byte leaves the XOR half of the FNV-1a step unchanged, so
+//! `(h ^ 0)·P = h·P` and a run of `k` zero bytes is a single multiply by
+//! `P^k`. [`Fnv::word`] uses that to fold the zero high bytes of ids,
+//! lengths and `0.0` in one step; every value stays that of the
+//! byte-at-a-time fold.
+
+/// The FNV-1a 64-bit prime `P`.
+const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `P^k` (wrapping) for `k` in `0..=8`: the effect of `k` zero bytes.
+const ZERO_RUN: [u64; 9] = {
+    let mut table = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        table[k] = table[k - 1].wrapping_mul(PRIME);
+        k += 1;
+    }
+    table
+};
 
 /// Incremental FNV-1a over a stream of bytes, u64 words, and strings.
+///
+/// Every method is defined as a byte fold: [`word`](Fnv::word) folds the
+/// word's 8 little-endian bytes, [`bytes`](Fnv::bytes) folds its slice in
+/// order. They only take shortcuts that give the same value.
 #[derive(Debug, Clone)]
 pub struct Fnv(pub u64);
 
@@ -19,13 +43,31 @@ impl Fnv {
     #[inline]
     pub fn byte(&mut self, b: u8) {
         self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        self.0 = self.0.wrapping_mul(PRIME);
     }
 
-    /// Folds one u64 as its 8 little-endian bytes.
+    /// Folds one u64 as its 8 little-endian bytes: the significant low
+    /// bytes one at a time, then the zero high bytes as one multiply.
+    #[inline]
     pub fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.byte(byte);
+        let significant = 8 - (w.leading_zeros() / 8) as usize;
+        let mut h = self.0;
+        for i in 0..significant {
+            h ^= (w >> (8 * i)) & 0xFF;
+            h = h.wrapping_mul(PRIME);
+        }
+        self.0 = h.wrapping_mul(ZERO_RUN[8 - significant]);
+    }
+
+    /// Folds a byte slice in order: whole 8-byte chunks as little-endian
+    /// [`word`](Fnv::word)s, then the tail a byte at a time.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            self.word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
+            self.byte(b);
         }
     }
 
@@ -37,9 +79,7 @@ impl Fnv {
     /// Folds a length-prefixed string.
     pub fn str(&mut self, s: &str) {
         self.word(s.len() as u64);
-        for byte in s.bytes() {
-            self.byte(byte);
-        }
+        self.bytes(s.as_bytes());
     }
 }
 
@@ -52,6 +92,32 @@ impl Default for Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference definition: one canonical step per byte.
+    fn byte_fold(start: u64, bytes: &[u8]) -> u64 {
+        let mut h = Fnv(start);
+        for &b in bytes {
+            h.byte(b);
+        }
+        h.0
+    }
+
+    /// SplitMix64: a seeded stream of test words.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn assert_word_is_byte_fold(w: u64) {
+        for start in [Fnv::new().0, 0, u64::MAX, 0x1234_5678_9abc_def0] {
+            let mut h = Fnv(start);
+            h.word(w);
+            assert_eq!(h.0, byte_fold(start, &w.to_le_bytes()), "word {w:#x}");
+        }
+    }
 
     #[test]
     fn matches_reference_vectors() {
@@ -66,6 +132,9 @@ mod tests {
             h.byte(*b);
         }
         assert_eq!(h.0, 0x85944171f73967e8);
+        let mut h = Fnv::new();
+        h.bytes(b"foobar");
+        assert_eq!(h.0, 0x85944171f73967e8);
     }
 
     #[test]
@@ -77,5 +146,50 @@ mod tests {
             b.byte(byte);
         }
         assert_eq!(a.0, b.0);
+    }
+
+    #[test]
+    fn word_folds_zero_bytes_like_the_byte_fold() {
+        for w in [0, 1, 0xFF, 0x100, 1 << 56, u64::MAX] {
+            assert_word_is_byte_fold(w);
+        }
+        for x in [0.0, -0.0, 0.5, 1e-300, f64::NAN] {
+            assert_word_is_byte_fold(f64::to_bits(x));
+        }
+        // Random words with random bytes zeroed: zero runs at the top, at
+        // the bottom and in between.
+        let mut state = 19;
+        for _ in 0..10_000 {
+            let w = splitmix(&mut state);
+            let zeroed = splitmix(&mut state);
+            let keep = (0..8)
+                .filter(|i| zeroed >> i & 1 == 1)
+                .fold(0u64, |m, i| m | 0xFF << (8 * i));
+            assert_word_is_byte_fold(w & keep);
+        }
+    }
+
+    #[test]
+    fn bytes_is_the_byte_fold() {
+        let mut state = 7;
+        for len in 0..=40 {
+            for trial in 0..64 {
+                // Zero runs of random length at random offsets, so some
+                // cross an 8-byte chunk boundary and some cover whole
+                // chunks or the tail.
+                let mut data: Vec<u8> = (0..len).map(|_| splitmix(&mut state) as u8).collect();
+                if len > 0 {
+                    let at = splitmix(&mut state) as usize % len;
+                    let run = trial % (len - at + 1);
+                    data[at..at + run].fill(0);
+                }
+                let mut h = Fnv::new();
+                h.bytes(&data);
+                assert_eq!(h.0, byte_fold(Fnv::new().0, &data), "len {len}");
+            }
+        }
+        let mut h = Fnv::new();
+        h.bytes(&[0; 24]);
+        assert_eq!(h.0, byte_fold(Fnv::new().0, &[0; 24]));
     }
 }

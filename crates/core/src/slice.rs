@@ -21,6 +21,7 @@
 //! take those lists as they are, so a plan of ~100k pathsets is built,
 //! observed and dropped without a heap allocation per pathset.
 
+use crate::algorithm::PairEstimate;
 use nni_linalg::Matrix;
 use nni_topology::{LinkId, LinkSeq, PathId, Topology};
 use std::collections::HashMap;
@@ -136,6 +137,40 @@ impl Slice {
     /// [`theta`](Slice::theta): the unique solution of the pair's 3-equation
     /// sub-system is `x_τ = y_i + y_j − y_{ij}` (Appendix, Equation 14).
     pub fn pair_estimates(&self, y: &[f64]) -> Vec<f64> {
+        self.estimate_iter(y).collect()
+    }
+
+    /// The paper's §6.2 unsolvability: the spread (max − min) of the
+    /// per-pair estimates of `x_τ`.
+    pub fn unsolvability(&self, y: &[f64]) -> f64 {
+        spread(&self.pair_estimates(y))
+    }
+
+    /// [`pair_estimates`](Slice::pair_estimates) labelled with their pairs,
+    /// built in one pass that also folds the running max and min: returns
+    /// the estimates, their [`unsolvability`](Slice::unsolvability), and
+    /// whether any estimate is NaN.
+    pub(crate) fn estimates(&self, y: &[f64]) -> (Vec<PairEstimate>, f64, bool) {
+        let (mut max, mut min, mut nan) = (f64::NEG_INFINITY, f64::INFINITY, false);
+        let estimates = self
+            .pairs
+            .iter()
+            .zip(self.estimate_iter(y))
+            .map(|(&[a, b], estimate)| {
+                max = max.max(estimate);
+                min = min.min(estimate);
+                nan |= estimate.is_nan();
+                PairEstimate {
+                    pair: (a, b),
+                    estimate,
+                }
+            })
+            .collect();
+        (estimates, (max - min).max(0.0), nan)
+    }
+
+    /// Each pair's `y_i + y_j − y_{ij}`, in `pairs` order.
+    fn estimate_iter<'a>(&'a self, y: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         assert_eq!(
             y.len(),
             self.pathset_count(),
@@ -146,19 +181,12 @@ impl Slice {
             .iter()
             .zip(pairs)
             .map(|(&[i, j], yij)| singles[i as usize] + singles[j as usize] - yij)
-            .collect()
-    }
-
-    /// The paper's §6.2 unsolvability: the spread (max − min) of the
-    /// per-pair estimates of `x_τ`.
-    pub fn unsolvability(&self, y: &[f64]) -> f64 {
-        spread(&self.pair_estimates(y))
     }
 }
 
 /// The spread (max − min, floored at zero) of a slice's pair estimates —
 /// its unsolvability.
-pub(crate) fn spread(estimates: &[f64]) -> f64 {
+fn spread(estimates: &[f64]) -> f64 {
     let max = estimates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let min = estimates.iter().cloned().fold(f64::INFINITY, f64::min);
     (max - min).max(0.0)

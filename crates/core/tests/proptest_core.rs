@@ -1,17 +1,126 @@
 //! Property-based tests for the inference core.
 
 use nni_core::{
-    enumerate_slices, identify, remove_redundant, routing_matrix, theorem1,
-    unsolvable_over_power_set, Classes, Config, EquivalentNetwork, ExactOracle, LinkPerf,
-    NetworkPerf, Observations,
+    enumerate_slices, identify, identify_scores, remove_redundant, routing_matrix, theorem1,
+    unsolvable_over_power_set, Classes, Config, DecisionMode, EquivalentNetwork, ExactOracle,
+    IdentifyPlan, InferenceResult, LinkPerf, NetworkPerf, Observations, PairEstimate, SliceVerdict,
 };
-use nni_topology::library::{dumbbell, parking_lot};
+use nni_linalg::{analyze, default_tolerance};
+use nni_stats::{two_means, SeparationGuard};
+use nni_topology::library::{dumbbell, figure4, figure5, parking_lot, topology_b};
 use nni_topology::{LinkId, LinkSeq, PathSet};
 use proptest::prelude::*;
 
 /// Strategy: a dumbbell topology with 1–4 paths per class.
 fn dumbbell_strategy() -> impl Strategy<Value = nni_topology::PaperTopology> {
     (1usize..=4, 1usize..=4).prop_map(|(a, b)| dumbbell(a, b))
+}
+
+/// Reference model of redundancy removal: the original candidate-list
+/// definition, one `LinkSeq` union per candidate.
+fn remove_redundant_reference(nonneutral: &[LinkSeq], neutral: &[LinkSeq]) -> Vec<LinkSeq> {
+    nonneutral
+        .iter()
+        .filter(|tau| {
+            let candidates: Vec<&LinkSeq> = nonneutral
+                .iter()
+                .filter(|t| *t != *tau && t.is_subset_of(tau))
+                .chain(neutral.iter().filter(|t| t.is_subset_of(tau)))
+                .collect();
+            let has_nonneutral = candidates.iter().any(|t| nonneutral.contains(t));
+            if !has_nonneutral {
+                return true;
+            }
+            let mut union = LinkSeq::new(Vec::new());
+            for c in &candidates {
+                union = union.union(c);
+            }
+            union != **tau
+        })
+        .cloned()
+        .collect()
+}
+
+/// Reference model of Algorithm 1's decision half: two passes per slice
+/// (estimates, then their spread) and the median |estimate| taken by a
+/// full sort for every slice, whether or not it can decide.
+fn identify_scores_reference(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> InferenceResult {
+    let mut verdicts: Vec<SliceVerdict> = Vec::new();
+    for (s, y) in plan.slices().iter().zip(ys) {
+        let pair_estimates = s.pair_estimates(y);
+        let max = pair_estimates
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        let min = pair_estimates.iter().cloned().fold(f64::INFINITY, f64::min);
+        let nonneutral = match cfg.mode {
+            DecisionMode::Exact { tol } => {
+                let a = s.routing_matrix();
+                let tol = tol.max(default_tolerance(&a.augment_col(y)));
+                !analyze(&a, y, tol).is_consistent()
+            }
+            DecisionMode::Clustered { .. } => false,
+        };
+        verdicts.push(SliceVerdict {
+            tau: s.tau.clone(),
+            estimates: s
+                .pairs
+                .iter()
+                .zip(pair_estimates)
+                .map(|(&[a, b], estimate)| PairEstimate {
+                    pair: (a, b),
+                    estimate,
+                })
+                .collect(),
+            unsolvability: (max - min).max(0.0),
+            nonneutral,
+        });
+    }
+    if let DecisionMode::Clustered {
+        guard,
+        abs_threshold,
+        rel_margin,
+    } = cfg.mode
+    {
+        let scores: Vec<f64> = verdicts.iter().map(|v| v.unsolvability).collect();
+        let clusters = two_means(&scores, guard);
+        for (v, &high) in verdicts.iter_mut().zip(&clusters.high) {
+            let mut mags: Vec<f64> = v.estimates.iter().map(|e| e.estimate.abs()).collect();
+            mags.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
+            let median = if mags.is_empty() {
+                0.0
+            } else {
+                mags[mags.len() / 2]
+            };
+            let floor = abs_threshold.max(rel_margin * median);
+            v.nonneutral = high || v.unsolvability > floor;
+        }
+    }
+    let pick = |nonneutral: bool| -> Vec<LinkSeq> {
+        verdicts
+            .iter()
+            .filter(|v| v.nonneutral == nonneutral)
+            .map(|v| v.tau.clone())
+            .collect()
+    };
+    let (nonneutral_raw, neutral) = (pick(true), pick(false));
+    let nonneutral = remove_redundant_reference(&nonneutral_raw, &neutral);
+    InferenceResult {
+        verdicts,
+        nonneutral_raw,
+        nonneutral,
+        neutral,
+    }
+}
+
+/// SplitMix64: a seeded stream for observation vectors too long to draw
+/// value by value.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 proptest! {
@@ -173,5 +282,98 @@ proptest! {
         for (i, p) in pathsets.iter().enumerate() {
             prop_assert_eq!(all[i], oracle.pathset_perf(&group, p));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Redundancy removal equals its reference model on lists that hold
+    /// duplicates, entries present in both lists, empty sequences and
+    /// empty lists, over link ids 0..=200 that span four 64-bit words.
+    #[test]
+    fn redundancy_removal_matches_reference(
+        aligned in prop::collection::vec((0usize..=3, prop::sample::select(vec![0, 8])), 0..=6),
+        scattered in prop::collection::vec(0usize..=200, 0..=2),
+        pool_bits in prop::collection::vec(0u8..=255, 1..=8),
+        nonneutral_at in prop::collection::vec(0usize..8, 0..=10),
+        neutral_at in prop::collection::vec(0usize..8, 0..=10),
+    ) {
+        // A small pool of subsets of a few links, so subsets, covers and
+        // repeats are common. Most links share their bit position with a
+        // link in another word, so a wrong word index changes the answer.
+        let universe: Vec<usize> =
+            aligned.iter().map(|&(w, b)| w * 64 + b).chain(scattered).collect();
+        let pool: Vec<LinkSeq> = pool_bits
+            .iter()
+            .map(|&bits| {
+                LinkSeq::new(
+                    universe
+                        .iter()
+                        .enumerate()
+                        .filter(|&(b, _)| bits >> b & 1 == 1)
+                        .map(|(_, &l)| LinkId(l))
+                        .collect(),
+                )
+            })
+            .collect();
+        let nonneutral: Vec<LinkSeq> =
+            nonneutral_at.iter().map(|&i| pool[i % pool.len()].clone()).collect();
+        let neutral: Vec<LinkSeq> =
+            neutral_at.iter().map(|&i| pool[i % pool.len()].clone()).collect();
+        prop_assert_eq!(
+            remove_redundant(&nonneutral, &neutral),
+            remove_redundant_reference(&nonneutral, &neutral)
+        );
+    }
+
+    /// The one-pass decision half equals the always-median reference on
+    /// library plans, bit for bit. Observations are multiples of 1/16 in
+    /// [-0.25, 1], so estimates are exact, ties are common, and some are
+    /// negative; `abs_threshold` is often exactly one slice's spread.
+    #[test]
+    fn identify_scores_matches_reference(
+        topology in 0usize..3,
+        min_pairs in 1usize..=2,
+        seed in 0u64..u64::MAX,
+        mode_draw in 0u32..20,
+        guard_off in prop::bool::ANY,
+        at_spread in (prop::bool::ANY, 0usize..1000),
+        abs_threshold in 0.0..0.8f64,
+        rel_margin in prop::sample::select(vec![0.0, 0.5, 1.0, 1.5, 4.0]),
+    ) {
+        let t = [figure4, figure5, topology_b][topology]();
+        let plan = IdentifyPlan::new(&t.topology, &Config { min_pairs, ..Config::exact() });
+        let mut state = seed;
+        let ys: Vec<Vec<f64>> = plan
+            .slices()
+            .iter()
+            .map(|s| {
+                (0..s.pathset_count())
+                    .map(|_| (splitmix(&mut state) % 21) as f64 / 16.0 - 0.25)
+                    .collect()
+            })
+            .collect();
+        let abs_threshold = match at_spread {
+            (true, i) => {
+                let i = i % plan.slices().len();
+                plan.slices()[i].unsolvability(&ys[i])
+            }
+            (false, _) => abs_threshold,
+        };
+        let mode = if mode_draw < 3 {
+            DecisionMode::Exact { tol: 1e-9 }
+        } else {
+            DecisionMode::Clustered {
+                guard: if guard_off { SeparationGuard::off() } else { SeparationGuard::default() },
+                abs_threshold,
+                rel_margin,
+            }
+        };
+        let cfg = Config { min_pairs, mode };
+        let got = identify_scores(&plan, &ys, cfg);
+        let want = identify_scores_reference(&plan, &ys, cfg);
+        prop_assert_eq!(got.fingerprint(), want.fingerprint());
+        prop_assert_eq!(got, want);
     }
 }

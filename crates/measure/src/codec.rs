@@ -282,9 +282,7 @@ pub fn encode(set: &MeasurementSet) -> Vec<u8> {
     }
     w.u8(TAG_END);
     let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
+    h.bytes(w.bytes());
     let checksum = h.0;
     w.u64(checksum);
     w.into_bytes()
@@ -373,9 +371,7 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
         return Err(CodecError::BadValue("missing end marker"));
     }
     let mut h = Fnv::new();
-    for &byte in &bytes[..r.pos()] {
-        h.byte(byte);
-    }
+    h.bytes(&bytes[..r.pos()]);
     let expect = h.0;
     if r.u64()? != expect {
         return Err(CodecError::ChecksumMismatch);

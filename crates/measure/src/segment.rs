@@ -156,9 +156,7 @@ fn chunk_bytes(tag: u8, payload: &[u8]) -> Vec<u8> {
     w.u64(payload.len() as u64);
     w.raw(payload);
     let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
+    h.bytes(w.bytes());
     let checksum = h.0;
     w.u64(checksum);
     w.into_bytes()
@@ -699,9 +697,7 @@ fn complete_chunk(bytes: &[u8], offset: usize, version: u8) -> Result<ChunkAt<'_
     }
     let payload = &rest[head..head + len];
     let mut h = Fnv::new();
-    for &b in &rest[..head + len] {
-        h.byte(b);
-    }
+    h.bytes(&rest[..head + len]);
     let expect = h.0;
     let got = u64::from_le_bytes(rest[head + len..total].try_into().expect("8 bytes"));
     if got != expect {

@@ -304,9 +304,7 @@ pub fn frame_bytes(magic: &[u8; 7], payload: &[u8]) -> Vec<u8> {
     w.u64(payload.len() as u64);
     w.raw(payload);
     let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
+    h.bytes(w.bytes());
     let checksum = h.0;
     w.u64(checksum);
     w.into_bytes()
@@ -394,9 +392,8 @@ pub fn read_frame(input: &mut impl Read, magic: &[u8; 7]) -> Result<Option<Vec<u
     let mut trailer = [0u8; 8];
     read_frame_bytes(input, &mut trailer)?;
     let mut h = Fnv::new();
-    for &b in header.iter().chain(&payload) {
-        h.byte(b);
-    }
+    h.bytes(&header);
+    h.bytes(&payload);
     if u64::from_le_bytes(trailer) != h.0 {
         return Err(CodecError::ChecksumMismatch.into());
     }

@@ -173,9 +173,7 @@ impl FaultPlan {
     fn roll(&self, salt: &str, token: u64) -> f64 {
         let mut h = Fnv::new();
         h.word(self.seed);
-        for b in salt.bytes() {
-            h.byte(b);
-        }
+        h.bytes(salt.as_bytes());
         h.word(token);
         (h.0 >> 11) as f64 / (1u64 << 53) as f64
     }

@@ -216,9 +216,7 @@ fn retry_backoff(cfg: &DaemonConfig, name: &OsString, strike: u32) -> Duration {
         .saturating_mul(1 << shift)
         .min(cfg.retry_cap_ms.max(cfg.retry_base_ms));
     let mut h = Fnv::new();
-    for b in name.to_string_lossy().bytes() {
-        h.byte(b);
-    }
+    h.bytes(name.to_string_lossy().as_bytes());
     h.word(strike as u64);
     let jitter = if cfg.retry_base_ms > 0 {
         h.0 % cfg.retry_base_ms
