@@ -15,7 +15,7 @@
 
 use crate::obs::Observations;
 use crate::slice::{enumerate_slices, LinkPaths, Slice};
-use nni_linalg::{analyze, default_tolerance};
+use nni_linalg::is_solvable;
 use nni_stats::{two_means, SeparationGuard};
 use nni_topology::{LinkSeq, PathId, Topology};
 use std::collections::HashSet;
@@ -279,11 +279,7 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
     for (s, y) in slices.iter().zip(ys) {
         let (estimates, unsolvability, has_nan) = s.estimates(y);
         let nonneutral = match cfg.mode {
-            DecisionMode::Exact { tol } => {
-                let a = s.routing_matrix();
-                let tol = tol.max(default_tolerance(&a.augment_col(y)));
-                !analyze(&a, y, tol).is_consistent()
-            }
+            DecisionMode::Exact { tol } => !is_solvable(&s.routing_matrix(), y, tol),
             DecisionMode::Clustered { .. } => false,
         };
         nan.push(has_nan);

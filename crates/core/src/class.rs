@@ -98,19 +98,6 @@ impl Classes {
     pub fn members(&self, n: usize) -> &[PathId] {
         &self.members[n]
     }
-
-    /// Whether every path of `paths` belongs to class `n`.
-    pub fn all_in_class(&self, paths: &[PathId], n: usize) -> bool {
-        paths.iter().all(|&p| self.class_of(p) == n)
-    }
-
-    /// The set of class indices represented among `paths`.
-    pub fn classes_of(&self, paths: &[PathId]) -> Vec<usize> {
-        let mut cs: Vec<usize> = paths.iter().map(|&p| self.class_of(p)).collect();
-        cs.sort_unstable();
-        cs.dedup();
-        cs
-    }
 }
 
 #[cfg(test)]
@@ -180,8 +167,9 @@ mod tests {
     fn class_queries() {
         let t = dumbbell(2, 2);
         let c = Classes::new(&t.topology, t.classes.clone()).unwrap();
-        assert!(c.all_in_class(&[PathId(0), PathId(1)], 0));
-        assert!(!c.all_in_class(&[PathId(0), PathId(2)], 0));
-        assert_eq!(c.classes_of(&[PathId(0), PathId(3), PathId(2)]), vec![0, 1]);
+        assert_eq!(c.members(0), &[PathId(0), PathId(1)]);
+        assert_eq!(c.members(1), &[PathId(2), PathId(3)]);
+        assert_eq!(c.class_of(PathId(0)), 0);
+        assert_eq!(c.class_of(PathId(3)), 1);
     }
 }

@@ -12,7 +12,7 @@ use crate::class::Classes;
 use crate::obs::Observations;
 use crate::perf::NetworkPerf;
 use crate::slice::{normalization_group, Slice};
-use nni_linalg::{analyze, default_tolerance};
+use nni_linalg::is_solvable;
 use nni_topology::Topology;
 
 /// Whether System 4 for this slice is unsolvable given exact observations —
@@ -26,9 +26,7 @@ pub fn system4_unsolvable(
 ) -> bool {
     let group = normalization_group(topology, &slice.tau);
     let y = obs.observe_all(&group, slice.theta());
-    let a = slice.routing_matrix();
-    let tol = tol.max(default_tolerance(&a.augment_col(&y)));
-    !analyze(&a, &y, tol).is_consistent()
+    !is_solvable(&slice.routing_matrix(), &y, tol)
 }
 
 /// Lemma 3's sufficient condition, checked structurally.

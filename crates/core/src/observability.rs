@@ -18,8 +18,8 @@ use crate::class::Classes;
 use crate::equivalent::EquivalentNetwork;
 use crate::perf::NetworkPerf;
 use crate::routing::routing_matrix;
-use nni_linalg::{analyze, default_tolerance};
-use nni_topology::{power_set, LinkId, PathId, Topology};
+use nni_linalg::is_solvable;
+use nni_topology::{power_set, LinkId, Topology};
 
 /// Why (or why not) a violation is observable.
 #[derive(Debug, Clone)]
@@ -67,28 +67,7 @@ pub fn unsolvable_over_power_set(
     let pathsets = power_set(n);
     let eq = EquivalentNetwork::build(topology, classes, perf);
     let y: Vec<f64> = pathsets.iter().map(|t| eq.pathset_perf(t)).collect();
-    let a = routing_matrix(topology, &pathsets);
-    let tol = default_tolerance(&a.augment_col(&y)).max(1e-9);
-    !analyze(&a, &y, tol).is_consistent()
-}
-
-/// Slice of Lemma 4 exposed for tests: whether all links are pairwise
-/// distinguishable (then `A(P*)` has full column rank).
-pub fn all_links_distinguishable(topology: &Topology) -> bool {
-    let n = topology.link_count();
-    for i in 0..n {
-        for j in i + 1..n {
-            if !topology.distinguishable(LinkId(i), LinkId(j)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Convenience used in tests: the class index containing path `p`.
-pub fn class_containing(classes: &Classes, p: PathId) -> usize {
-    classes.class_of(p)
+    !is_solvable(&routing_matrix(topology, &pathsets), &y, 1e-9)
 }
 
 #[cfg(test)]
@@ -106,6 +85,12 @@ mod tests {
             perf = perf.with_link(l, LinkPerf::per_class(vec![x1, x2]));
         }
         (classes, perf)
+    }
+
+    /// Lemma 4's premise: every pair of links is distinguishable.
+    fn pairwise_distinguishable(t: &Topology) -> bool {
+        let n = t.link_count();
+        (0..n).all(|i| (i + 1..n).all(|j| t.distinguishable(LinkId(i), LinkId(j))))
     }
 
     #[test]
@@ -178,7 +163,7 @@ mod tests {
         // Figure 1: all four links pairwise distinguishable → A(P*) has full
         // column rank.
         let t = figure1();
-        assert!(all_links_distinguishable(&t.topology));
+        assert!(pairwise_distinguishable(&t.topology));
         let pathsets = nni_topology::power_set(t.topology.path_count());
         let a = routing_matrix(&t.topology, &pathsets);
         assert_eq!(rank_default(&a), t.topology.link_count());
@@ -197,7 +182,7 @@ mod tests {
         let l1 = b.link("l1", r, h1).unwrap();
         b.path("p0", vec![l0, l1]).unwrap();
         let t = b.build();
-        assert!(!all_links_distinguishable(&t));
+        assert!(!pairwise_distinguishable(&t));
         let a = routing_matrix(&t, &nni_topology::power_set(1));
         assert!(rank_default(&a) < t.link_count());
     }

@@ -13,7 +13,6 @@
 //! additive in the sense of Equations 1 and 2, which is what makes the
 //! linear-system machinery work.
 
-use crate::class::Classes;
 use nni_topology::{LinkId, Topology};
 
 /// Converts a congestion-free probability to a performance number.
@@ -109,20 +108,6 @@ impl NetworkPerf {
         }
     }
 
-    /// Builds from explicit per-link [`LinkPerf`]s.
-    ///
-    /// # Panics
-    /// Panics if links disagree on the class count.
-    pub fn from_links(links: Vec<LinkPerf>) -> NetworkPerf {
-        assert!(!links.is_empty(), "a network has at least one link");
-        let class_count = links[0].class_count();
-        assert!(
-            links.iter().all(|l| l.class_count() == class_count),
-            "all links must agree on |C|"
-        );
-        NetworkPerf { links, class_count }
-    }
-
     /// A neutral baseline (all zeros) that callers then override per link.
     pub fn congestion_free(topology: &Topology, class_count: usize) -> NetworkPerf {
         NetworkPerf::neutral(&vec![0.0; topology.link_count()], class_count)
@@ -172,18 +157,6 @@ impl NetworkPerf {
     pub fn seq_perf(&self, seq: &[LinkId], n: usize) -> f64 {
         seq.iter().map(|&l| self.link(l).for_class(n)).sum()
     }
-}
-
-/// Consistency guard between a class partition and performance numbers.
-pub fn check_consistent(classes: &Classes, perf: &NetworkPerf) -> Result<(), String> {
-    if classes.count() != perf.class_count() {
-        return Err(format!(
-            "classes has |C| = {} but perf has |C| = {}",
-            classes.count(),
-            perf.class_count()
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@
 //! see [`crate::sim`]) this runs perfbench's `table2_sweep` (the 34 Table 2
 //! members on topology A) at a median 88.5 ops/s, against 52.8 ops/s with
 //! per-step bucket reallocation and one timer event per ACK (ten alternating
-//! 30 s runs each, 2-core Xeon container). [`EventQueue`] aliases it. Unit
-//! and property tests check its pop order against a brute-force model.
+//! 30 s runs each, 2-core Xeon container). Unit and property tests check
+//! its pop order against a brute-force model.
 //!
 //! [`reserve_seq`]: CalendarEventQueue::reserve_seq
 //! [`push_reserved`]: CalendarEventQueue::push_reserved
@@ -104,10 +104,6 @@ impl Ord for Entry {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-
-/// The event-queue implementation the simulator uses (see module docs for
-/// the measurements behind the calendar default).
-pub type EventQueue = CalendarEventQueue;
 
 /// Short label of the default queue implementation — part of the build
 /// fingerprint stamped into measurement-set provenance
@@ -290,7 +286,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarEventQueue::new();
         q.push(SimTime(30), Event::Sample);
         q.push(SimTime(10), Event::Sample);
         q.push(SimTime(20), Event::Sample);
@@ -300,7 +296,7 @@ mod tests {
 
     #[test]
     fn ties_resolve_in_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarEventQueue::new();
         q.push(SimTime(5), Event::FlowStart { slot: 0 });
         q.push(SimTime(5), Event::FlowStart { slot: 1 });
         q.push(SimTime(5), Event::FlowStart { slot: 2 });
@@ -315,7 +311,7 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarEventQueue::new();
         assert!(q.is_empty());
         q.push(SimTime(1), Event::Sample);
         assert_eq!(q.len(), 1);

@@ -54,7 +54,7 @@ pub fn build_fingerprint() -> String {
 pub use bucket::TokenBucket;
 pub use config::SimConfig;
 pub use diff::{Differentiation, ShapeLaneConfig};
-pub use event::{CalendarEventQueue, Event, EventQueue};
+pub use event::{CalendarEventQueue, Event};
 pub use packet::{ClassLabel, FlowId, Packet, Route, RouteId};
 pub use scenario::{
     background_route, link_params, measured_routes, policed_demand, policer_at_fraction,
@@ -66,6 +66,7 @@ pub use stats::{LinkTruth, QueueTrace, SimReport};
 pub use tcp::{CcKind, CongestionControl, RttEstimator};
 pub use time::SimTime;
 pub use traffic::{
-    long_flow, mean_flow_bits, short_flow_mix, sustained_demand_bps, CcFleet, SizeDist, TrafficSpec,
+    long_flow, mean_flow_bits, short_flow_mix, sustained_demand_bps, CcFleet, SizeDist,
+    TrafficProfile,
 };
 pub use wire::{decode_report, encode_report};

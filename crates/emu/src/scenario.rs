@@ -3,9 +3,9 @@
 //! traffic model (see [`policed_demand`]).
 
 use crate::diff::Differentiation;
-use crate::packet::{ClassLabel, Route};
+use crate::packet::{ClassLabel, Route, RouteId};
 use crate::sim::LinkParams;
-use crate::traffic::{sustained_demand_bps, TrafficSpec};
+use crate::traffic::{sustained_demand_bps, TrafficProfile};
 use nni_topology::{LinkId, Topology};
 
 /// Builds the per-link simulator parameters from a topology, applying the
@@ -130,14 +130,14 @@ pub struct PolicedDemand {
 /// Audits every policer and shaper lane in `links` against the traffic that
 /// crosses it: for each token bucket (a [`Differentiation::Policing`] stage,
 /// or one lane of a [`Differentiation::Shaping`] stage), sums the targeted
-/// class's sustained demand and parallel flow slots over all routes
-/// traversing the link. `nni-scenario`'s
+/// class's sustained demand and parallel flow slots over all `(route,
+/// profile)` sources whose route traverses the link. `nni-scenario`'s
 /// `assert_demand_exceeds_policed_rate` asserts on this report at the
 /// scenario level; raw-simulator tests use it directly.
 pub fn policed_demand(
     links: &[LinkParams],
     routes: &[Route],
-    specs: &[TrafficSpec],
+    sources: &[(RouteId, TrafficProfile)],
 ) -> Vec<PolicedDemand> {
     links
         .iter()
@@ -160,9 +160,9 @@ pub fn policed_demand(
                 .map(|(class, rate_bps)| {
                     let mut demand_bps = 0.0;
                     let mut feeding_slots = 0;
-                    for spec in specs {
-                        let route = &routes[spec.route.index()];
-                        if spec.class != class || !route.links.contains(&link) {
+                    for (route, profile) in sources {
+                        let route = &routes[route.index()];
+                        if profile.class != class || !route.links.contains(&link) {
                             continue;
                         }
                         // The transfer rate is bounded by the slowest link of
@@ -173,8 +173,8 @@ pub fn policed_demand(
                             .iter()
                             .map(|&l| links[l.index()].rate_bps)
                             .fold(f64::INFINITY, f64::min);
-                        demand_bps += sustained_demand_bps(spec, line_rate);
-                        feeding_slots += spec.parallel;
+                        demand_bps += sustained_demand_bps(profile, line_rate);
+                        feeding_slots += profile.parallel;
                     }
                     PolicedDemand {
                         link,
@@ -192,7 +192,6 @@ pub fn policed_demand(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::RouteId;
     use crate::tcp::CcKind;
     use crate::traffic::SizeDist;
     use nni_topology::library::topology_a;
@@ -268,20 +267,22 @@ mod tests {
                 path: None,
             },
         ];
-        let spec = |route: u32, class: u8, parallel: usize| TrafficSpec {
-            route: RouteId(route),
-            class,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::Fixed { bytes: 1_250_000 }, // 10 Mb
-            mean_gap_s: 1.0,
-            parallel,
+        let source = |route: u32, class: u8, parallel: usize| {
+            let profile = TrafficProfile {
+                class,
+                cc: CcKind::Cubic.into(),
+                size: SizeDist::Fixed { bytes: 1_250_000 }, // 10 Mb
+                mean_gap_s: 1.0,
+                parallel,
+            };
+            (RouteId(route), profile)
         };
-        let specs = vec![
-            spec(0, 1, 4), // targeted: crosses the policer, class 1
-            spec(0, 0, 8), // wrong class
-            spec(1, 1, 8), // right class, does not cross the policer
+        let sources = vec![
+            source(0, 1, 4), // targeted: crosses the policer, class 1
+            source(0, 0, 8), // wrong class
+            source(1, 1, 8), // right class, does not cross the policer
         ];
-        let audit = policed_demand(&links, &routes, &specs);
+        let audit = policed_demand(&links, &routes, &sources);
         assert_eq!(audit.len(), 1);
         let d = &audit[0];
         assert_eq!((d.link, d.class), (LinkId(1), 1));
@@ -318,15 +319,14 @@ mod tests {
             links: vec![LinkId(0)],
             path: None,
         }];
-        let specs = vec![TrafficSpec {
-            route: RouteId(0),
+        let profile = TrafficProfile {
             class: 1,
             cc: CcKind::Cubic.into(),
             size: SizeDist::Fixed { bytes: 1_250_000 },
             mean_gap_s: 1.0,
             parallel: 4,
-        }];
-        let audit = policed_demand(&links, &routes, &specs);
+        };
+        let audit = policed_demand(&links, &routes, &[(RouteId(0), profile)]);
         // One entry per lane; only the class-1 lane is fed.
         assert_eq!(audit.len(), 2);
         assert_eq!((audit[0].class, audit[0].rate_bps), (0, 70e6));

@@ -55,13 +55,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::SimConfig;
 use crate::diff::{DiffOutcome, DiffRuntime, Differentiation};
-use crate::event::{Event, EventQueue};
+use crate::event::{CalendarEventQueue, Event};
 use crate::packet::{ClassLabel, FlowId, Packet, Route, RouteId};
 use crate::slab::{PacketHandle, PacketSlab};
 use crate::stats::{LinkTruth, QueueTrace, SimReport};
 use crate::tcp::{CcKind, CongestionControl, RttEstimator};
 use crate::time::{tx_time, SimTime};
-use crate::traffic::TrafficSpec;
+use crate::traffic::TrafficProfile;
 use crate::window::{OooWindow, SendTimes};
 // The interval binning rule and its ULP-walked boundary inversion are shared
 // with `MeasurementLog::interval_of` — one rule, one place
@@ -133,8 +133,9 @@ struct RtoTimer {
 }
 
 struct Slot {
-    spec: TrafficSpec,
-    /// This slot's congestion control, resolved from the spec's
+    /// Index of the slot's source in `Simulator::sources`.
+    source: usize,
+    /// This slot's congestion control, resolved from the source's
     /// [`CcFleet`](crate::traffic::CcFleet) at registration time.
     cc: CcKind,
 }
@@ -147,8 +148,10 @@ pub struct Simulator {
     routes: Vec<Route>,
     reverse_delay: Vec<SimTime>,
     flows: Vec<FlowSim>,
+    /// Registered traffic sources, in registration order.
+    sources: Vec<(RouteId, TrafficProfile)>,
     slots: Vec<Slot>,
-    queue: EventQueue,
+    queue: CalendarEventQueue,
     slab: PacketSlab,
     now: SimTime,
     /// Simulation end (`cfg.duration_s`): nothing is scheduled past it.
@@ -240,8 +243,9 @@ impl Simulator {
             routes,
             reverse_delay,
             flows: Vec::new(),
+            sources: Vec::new(),
             slots: Vec::new(),
-            queue: EventQueue::new(),
+            queue: CalendarEventQueue::new(),
             slab: PacketSlab::with_capacity(1024),
             now: SimTime::ZERO,
             end: SimTime::from_secs_f64(cfg.duration_s),
@@ -261,25 +265,28 @@ impl Simulator {
         }
     }
 
-    /// Registers a traffic source: `spec.parallel` independent slots, each
-    /// starting its first flow after a small random jitter (avoids start-up
-    /// synchronisation). Slot `k` of the source runs `spec.cc.kind_for(k)`,
-    /// so a mixed fleet interleaves its algorithms across the slots.
-    pub fn add_traffic(&mut self, spec: TrafficSpec) {
+    /// Registers a traffic source on `route`: `profile.parallel` independent
+    /// slots, each starting its first flow after a small random jitter
+    /// (avoids start-up synchronisation). Slot `k` of the source runs
+    /// `profile.cc.kind_for(k)`, so a mixed fleet interleaves its algorithms
+    /// across the slots.
+    pub fn add_traffic(&mut self, route: RouteId, profile: TrafficProfile) {
         assert!(
-            !spec.cc.is_empty(),
+            !profile.cc.is_empty(),
             "traffic source has an empty congestion-control fleet"
         );
-        for k in 0..spec.parallel {
+        let source = self.sources.len();
+        for k in 0..profile.parallel {
             let slot = self.slots.len();
             self.slots.push(Slot {
-                cc: spec.cc.kind_for(k),
-                spec: spec.clone(),
+                source,
+                cc: profile.cc.kind_for(k),
             });
             let jitter = SimTime::from_secs_f64(self.rng.gen::<f64>() * 0.2);
             self.queue
                 .push(jitter, Event::FlowStart { slot: slot as u32 });
         }
+        self.sources.push((route, profile));
     }
 
     /// Runs the simulation to `cfg.duration_s` and returns the report
@@ -560,9 +567,9 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn on_flow_start(&mut self, slot: usize) {
-        let cc = self.slots[slot].cc;
-        let spec = self.slots[slot].spec.clone();
-        let size_bytes = spec.size.sample(&mut self.rng, self.cfg.mss);
+        let Slot { source, cc } = self.slots[slot];
+        let (route, ref profile) = self.sources[source];
+        let size_bytes = profile.size.sample(&mut self.rng, self.cfg.mss);
         let size_segments = size_bytes.div_ceil(self.cfg.mss as u64).max(1);
         assert!(
             size_segments <= u32::MAX as u64,
@@ -570,8 +577,8 @@ impl Simulator {
         );
         let flow_id = FlowId(self.flows.len() as u32);
         self.flows.push(FlowSim {
-            route: spec.route,
-            class: spec.class,
+            route,
+            class: profile.class,
             size_segments,
             cc: CongestionControl::new(cc),
             rtt: RttEstimator::new(self.cfg.min_rto_s),
@@ -725,7 +732,8 @@ impl Simulator {
             flow.done = true; // pending timers now fire as no-ops
             self.completed_flows += 1;
             if let Some(slot) = flow.slot {
-                let gap = self.slots[slot].spec.sample_gap(&mut self.rng);
+                let (_, profile) = &self.sources[self.slots[slot].source];
+                let gap = profile.sample_gap(&mut self.rng);
                 let at = self.now + SimTime::from_secs_f64(gap);
                 self.queue.push(at, Event::FlowStart { slot: slot as u32 });
             }
@@ -765,11 +773,6 @@ impl Simulator {
     // ------------------------------------------------------------------
     // Introspection for tests
     // ------------------------------------------------------------------
-
-    /// Number of registered traffic slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
 
     /// Simulation clock (for tests).
     pub fn now(&self) -> SimTime {
@@ -842,14 +845,16 @@ mod tests {
         let (mut links, routes) = two_link_setup(10e6);
         links[1].queue_bytes = Some(10_000_000);
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(30.0));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: CcKind::NewReno.into(),
-            size: SizeDist::Fixed { bytes: 1_500_000 }, // 1000 segments
-            mean_gap_s: 1000.0,                         // effectively one flow
-            parallel: 1,
-        });
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::NewReno.into(),
+                size: SizeDist::Fixed { bytes: 1_500_000 }, // 1000 segments
+                mean_gap_s: 1000.0,                         // effectively one flow
+                parallel: 1,
+            },
+        );
         let report = sim.run();
         assert!(report.completed_flows >= 1, "flow should finish in 30 s");
         assert_eq!(
@@ -865,14 +870,16 @@ mod tests {
         // loses packets, recovers, and the flow still completes.
         let (links, routes) = two_link_setup(10e6);
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(60.0));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: CcKind::NewReno.into(),
-            size: SizeDist::Fixed { bytes: 3_000_000 }, // 2000 segments
-            mean_gap_s: 1000.0,
-            parallel: 1,
-        });
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::NewReno.into(),
+                size: SizeDist::Fixed { bytes: 3_000_000 }, // 2000 segments
+                mean_gap_s: 1000.0,
+                parallel: 1,
+            },
+        );
         let report = sim.run();
         assert!(
             report.segments_dropped > 0,
@@ -888,17 +895,19 @@ mod tests {
     fn conservation_of_segments() {
         let (links, routes) = two_link_setup(5e6);
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(20.0));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: 200_000.0,
-                shape: 1.5,
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::Cubic.into(),
+                size: SizeDist::ParetoMean {
+                    mean_bytes: 200_000.0,
+                    shape: 1.5,
+                },
+                mean_gap_s: 0.5,
+                parallel: 3,
             },
-            mean_gap_s: 0.5,
-            parallel: 3,
-        });
+        );
         let report = sim.run();
         assert!(report.segments_sent > 0);
         assert_eq!(
@@ -914,16 +923,18 @@ mod tests {
         // at most ~10 Mb/s * 20 s / (1500 * 8) ≈ 1667 segments.
         let (links, routes) = two_link_setup(10e6);
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(20.0));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::Fixed {
-                bytes: 1_000_000_000,
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::Cubic.into(),
+                size: SizeDist::Fixed {
+                    bytes: 1_000_000_000,
+                },
+                mean_gap_s: 10.0,
+                parallel: 1,
             },
-            mean_gap_s: 10.0,
-            parallel: 1,
-        });
+        );
         let report = sim.run();
         let max_segments = (10e6 * 20.0 / (1500.0 * 8.0)) as u64;
         assert!(
@@ -948,16 +959,18 @@ mod tests {
         let (mut links, routes) = two_link_setup(5e6);
         links[1].queue_bytes = Some(30_000);
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(30.0));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: CcKind::NewReno.into(),
-            size: SizeDist::Fixed {
-                bytes: 1_000_000_000,
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::NewReno.into(),
+                size: SizeDist::Fixed {
+                    bytes: 1_000_000_000,
+                },
+                mean_gap_s: 10.0,
+                parallel: 2,
             },
-            mean_gap_s: 10.0,
-            parallel: 2,
-        });
+        );
         let report = sim.run();
         assert!(report.segments_dropped > 0, "bottleneck must drop");
         let lost = report.log.total_lost(PathId(0));
@@ -984,17 +997,19 @@ mod tests {
                     ..quick_cfg(10.0)
                 },
             );
-            sim.add_traffic(TrafficSpec {
-                route: RouteId(0),
-                class: 0,
-                cc: CcKind::Cubic.into(),
-                size: SizeDist::ParetoMean {
-                    mean_bytes: 100_000.0,
-                    shape: 1.5,
+            sim.add_traffic(
+                RouteId(0),
+                TrafficProfile {
+                    class: 0,
+                    cc: CcKind::Cubic.into(),
+                    size: SizeDist::ParetoMean {
+                        mean_bytes: 100_000.0,
+                        shape: 1.5,
+                    },
+                    mean_gap_s: 0.2,
+                    parallel: 2,
                 },
-                mean_gap_s: 0.2,
-                parallel: 2,
-            });
+            );
             let r = sim.run();
             (
                 r.segments_sent,
@@ -1024,17 +1039,19 @@ mod tests {
                     ..quick_cfg(10.0)
                 },
             );
-            sim.add_traffic(TrafficSpec {
-                route: RouteId(0),
-                class: 0,
-                cc: CcKind::Cubic.into(),
-                size: SizeDist::ParetoMean {
-                    mean_bytes: 100_000.0,
-                    shape: 1.5,
+            sim.add_traffic(
+                RouteId(0),
+                TrafficProfile {
+                    class: 0,
+                    cc: CcKind::Cubic.into(),
+                    size: SizeDist::ParetoMean {
+                        mean_bytes: 100_000.0,
+                        shape: 1.5,
+                    },
+                    mean_gap_s: 0.2,
+                    parallel: 2,
                 },
-                mean_gap_s: 0.2,
-                parallel: 2,
-            });
+            );
             sim.run()
         };
         let plain = run(false);
@@ -1098,22 +1115,24 @@ mod tests {
                 path: Some(PathId(1)),
             },
         ];
-        let specs: Vec<TrafficSpec> = [(0u32, 0u8), (1, 1)]
-            .map(|(route, class)| TrafficSpec {
-                route: RouteId(route),
-                class,
-                cc: CcKind::Cubic.into(),
-                size: SizeDist::Fixed {
-                    bytes: 1_000_000_000,
-                },
-                mean_gap_s: 10.0,
-                parallel: 4,
+        let sources: Vec<(RouteId, TrafficProfile)> = [(0u32, 0u8), (1, 1)]
+            .map(|(route, class)| {
+                let profile = TrafficProfile {
+                    class,
+                    cc: CcKind::Cubic.into(),
+                    size: SizeDist::Fixed {
+                        bytes: 1_000_000_000,
+                    },
+                    mean_gap_s: 10.0,
+                    parallel: 4,
+                };
+                (RouteId(route), profile)
             })
             .into();
         // The PR 1 lesson, structurally enforced: the targeted class must
         // demand well over the token rate from several parallel slots, or
         // this test silently stops exercising the policer.
-        for d in crate::scenario::policed_demand(&links, &routes, &specs) {
+        for d in crate::scenario::policed_demand(&links, &routes, &sources) {
             assert!(
                 d.demand_bps > 2.0 * d.rate_bps && d.feeding_slots >= 2,
                 "traffic model starves the policer on {}: demand {:.0} b/s \
@@ -1125,8 +1144,8 @@ mod tests {
             );
         }
         let mut sim = Simulator::new(links, routes, 2, 2, quick_cfg(30.0));
-        for spec in specs {
-            sim.add_traffic(spec);
+        for (route, profile) in sources {
+            sim.add_traffic(route, profile);
         }
         let report = sim.run();
         let thr = 0.01;
@@ -1155,16 +1174,18 @@ mod tests {
     fn queue_traces_are_recorded() {
         let (links, routes) = two_link_setup(5e6);
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(10.0));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: CcKind::NewReno.into(),
-            size: SizeDist::Fixed {
-                bytes: 1_000_000_000,
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::NewReno.into(),
+                size: SizeDist::Fixed {
+                    bytes: 1_000_000_000,
+                },
+                mean_gap_s: 10.0,
+                parallel: 1,
             },
-            mean_gap_s: 10.0,
-            parallel: 1,
-        });
+        );
         let report = sim.run();
         assert_eq!(report.queue_traces.len(), 2);
         assert!(!report.queue_traces[1].times_s.is_empty());

@@ -138,21 +138,6 @@ impl LinkTruth {
         }
     }
 
-    /// Per-interval loss fractions of one (link, class) — the samples behind
-    /// Figure 10(a)'s boxplots.
-    pub fn loss_fractions(&self, link: LinkId, class: ClassLabel) -> Vec<f64> {
-        (0..self.offered.len())
-            .filter_map(|t| {
-                let off = self.offered[t][link.index()][class as usize];
-                if off == 0 {
-                    None
-                } else {
-                    Some(self.dropped[t][link.index()][class as usize] as f64 / off as f64)
-                }
-            })
-            .collect()
-    }
-
     /// Total packets of one class offered to a link (the denominator of a
     /// NetPolice-style per-class probe loss rate).
     pub fn class_offered(&self, link: LinkId, class: ClassLabel) -> u64 {
@@ -165,13 +150,6 @@ impl LinkTruth {
     pub fn class_dropped(&self, link: LinkId, class: ClassLabel) -> u64 {
         (0..self.dropped.len())
             .map(|t| self.dropped[t][link.index()][class as usize])
-            .sum()
-    }
-
-    /// Total packets offered to a link across classes.
-    pub fn total_offered(&self, link: LinkId) -> u64 {
-        (0..self.offered.len())
-            .map(|t| self.offered[t][link.index()].iter().sum::<u64>())
             .sum()
     }
 
@@ -261,7 +239,6 @@ mod tests {
         assert!((t.congestion_probability(LinkId(0), 1, 0.01) - 0.5).abs() < 1e-12);
         assert_eq!(t.congestion_probability(LinkId(0), 0, 0.01), 0.0);
         assert_eq!(t.congestion_probability(LinkId(1), 1, 0.01), 0.0);
-        assert_eq!(t.total_offered(LinkId(0)), 200);
         assert_eq!(t.total_dropped(LinkId(0)), 5);
         assert_eq!(t.class_offered(LinkId(0), 1), 200);
         assert_eq!(t.class_dropped(LinkId(0), 1), 5);
@@ -274,8 +251,8 @@ mod tests {
         t.record_offered(0, LinkId(0), 0);
         t.record_dropped(0, LinkId(0), 0);
         t.ensure(2); // interval 1 idle, interval 2 idle
-        let f = t.loss_fractions(LinkId(0), 0);
-        assert_eq!(f, vec![1.0]);
+                     // Only the one active interval counts, and it lost everything.
+        assert_eq!(t.congestion_probability(LinkId(0), 0, 0.5), 1.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! flow ends, a new one starts after an idle time that is governed by an
 //! exponential distribution."
 
-use crate::packet::{ClassLabel, RouteId};
+use crate::packet::ClassLabel;
 use crate::tcp::CcKind;
 use nni_stats::{Exponential, Pareto};
 use rand::Rng;
@@ -45,14 +45,14 @@ impl SizeDist {
 ///
 /// A *fleet* assigns each slot its own algorithm, so one source can model
 /// heterogeneous end-hosts (e.g. three CUBIC downloads contending with one
-/// NewReno upload on the same route). Slot `i` of a [`TrafficSpec`] runs
+/// NewReno upload on the same route). Slot `i` of a [`TrafficProfile`] runs
 /// [`CcFleet::kind_for`]`(i)`; a [`Uniform`](CcFleet::Uniform) fleet
 /// reproduces the historical single-`CcKind` behaviour exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CcFleet {
     /// Every slot runs the same algorithm.
     Uniform(CcKind),
-    /// Slot `i` runs `kinds[i % kinds.len()]` — the list cycles when a spec
+    /// Slot `i` runs `kinds[i % kinds.len()]` — the list cycles when a profile
     /// has more parallel slots than fleet entries.
     Mixed(Vec<CcKind>),
 }
@@ -108,13 +108,31 @@ impl From<CcKind> for CcFleet {
     }
 }
 
-/// One traffic source: `parallel` independent slots on a route, each running
-/// an endless start-transfer/idle cycle.
+/// One traffic source: `parallel` endless flow slots with a size
+/// distribution and an exponential idle gap, stamped with a class label.
+/// The simulator places it on a route ([`Simulator::add_traffic`]); a
+/// scenario places it on a path or a background route.
+///
+/// The label is what differentiation mechanisms match on; it usually — but
+/// not necessarily — mirrors the path's performance class (background hosts
+/// may emit several labels on the same route).
+///
+/// Slot `k` runs `cc.kind_for(k)`, so one profile can model a heterogeneous
+/// *fleet* of end-hosts:
+///
+/// ```
+/// use nni_emu::{CcFleet, CcKind, TrafficProfile};
+///
+/// // Three CUBIC downloads contending with one NewReno upload.
+/// let profile = TrafficProfile::pareto_bits(1, CcKind::Cubic, 10e6, 10.0, 4)
+///     .with_fleet(CcFleet::fleet(&[(CcKind::Cubic, 3), (CcKind::NewReno, 1)]));
+/// assert!(profile.cc.is_mixed());
+/// ```
+///
+/// [`Simulator::add_traffic`]: crate::Simulator::add_traffic
 #[derive(Debug, Clone)]
-pub struct TrafficSpec {
-    /// Route the flows follow.
-    pub route: RouteId,
-    /// Class label stamped on every packet (what differentiators match on).
+pub struct TrafficProfile {
+    /// Class label stamped on every packet.
     pub class: ClassLabel,
     /// Congestion-control assignment across the parallel slots (a plain
     /// [`CcKind`] converts into a uniform fleet).
@@ -127,7 +145,35 @@ pub struct TrafficSpec {
     pub parallel: usize,
 }
 
-impl TrafficSpec {
+impl TrafficProfile {
+    /// Pareto-sized flows (shape 1.5, the scenarios' default) with the given
+    /// mean size in bits.
+    pub fn pareto_bits(
+        class: ClassLabel,
+        cc: CcKind,
+        mean_bits: f64,
+        mean_gap_s: f64,
+        parallel: usize,
+    ) -> TrafficProfile {
+        TrafficProfile {
+            class,
+            cc: cc.into(),
+            size: SizeDist::ParetoMean {
+                mean_bytes: mean_bits / 8.0,
+                shape: 1.5,
+            },
+            mean_gap_s,
+            parallel,
+        }
+    }
+
+    /// Same profile with a different congestion-control fleet — the
+    /// one-liner for turning any constructor's output heterogeneous.
+    pub fn with_fleet(mut self, fleet: CcFleet) -> TrafficProfile {
+        self.cc = fleet;
+        self
+    }
+
     /// Samples the idle gap before the next flow of a slot.
     pub fn sample_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.mean_gap_s <= 0.0 {
@@ -139,28 +185,17 @@ impl TrafficSpec {
 }
 
 /// Helper mirroring Table 3's "1 Mb + 10 Mb + 40 Mb" short-flow mix: three
-/// specs, one slot each, with fixed-mean Pareto sizes.
-pub fn short_flow_mix(route: RouteId, class: ClassLabel, cc: CcKind) -> Vec<TrafficSpec> {
+/// profiles, one slot each, with fixed-mean Pareto sizes.
+pub fn short_flow_mix(class: ClassLabel, cc: CcKind) -> Vec<TrafficProfile> {
     [1e6, 10e6, 40e6]
         .iter()
-        .map(|&mean_bits| TrafficSpec {
-            route,
-            class,
-            cc: cc.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: mean_bits / 8.0,
-                shape: 1.5,
-            },
-            mean_gap_s: 10.0,
-            parallel: 1,
-        })
+        .map(|&mean_bits| TrafficProfile::pareto_bits(class, cc, mean_bits, 10.0, 1))
         .collect()
 }
 
 /// Helper for Table 3's light-gray hosts: one persistent 10 Gb flow.
-pub fn long_flow(route: RouteId, class: ClassLabel, cc: CcKind) -> TrafficSpec {
-    TrafficSpec {
-        route,
+pub fn long_flow(class: ClassLabel, cc: CcKind) -> TrafficProfile {
+    TrafficProfile {
         class,
         cc: cc.into(),
         size: SizeDist::Fixed {
@@ -171,7 +206,7 @@ pub fn long_flow(route: RouteId, class: ClassLabel, cc: CcKind) -> TrafficSpec {
     }
 }
 
-/// Mean flow size of a spec in bits (the Pareto mean, or the fixed size).
+/// Mean flow size of a profile in bits (the Pareto mean, or the fixed size).
 pub fn mean_flow_bits(size: &SizeDist) -> f64 {
     match size {
         SizeDist::ParetoMean { mean_bytes, .. } => mean_bytes * 8.0,
@@ -189,13 +224,13 @@ pub fn mean_flow_bits(size: &SizeDist) -> f64 {
 /// only lengthens transfers without reducing the backlog the source wants to
 /// push, so this is the right yardstick for "does this traffic *demand* more
 /// than a policer's token rate".
-pub fn sustained_demand_bps(spec: &TrafficSpec, line_rate_bps: f64) -> f64 {
-    let bits = mean_flow_bits(&spec.size);
+pub fn sustained_demand_bps(profile: &TrafficProfile, line_rate_bps: f64) -> f64 {
+    let bits = mean_flow_bits(&profile.size);
     if bits <= 0.0 || line_rate_bps <= 0.0 {
         return 0.0;
     }
-    let cycle_s = spec.mean_gap_s.max(0.0) + bits / line_rate_bps;
-    spec.parallel as f64 * bits / cycle_s
+    let cycle_s = profile.mean_gap_s.max(0.0) + bits / line_rate_bps;
+    profile.parallel as f64 * bits / cycle_s
 }
 
 #[cfg(test)]
@@ -231,8 +266,7 @@ mod tests {
     #[test]
     fn gap_sampling_nonnegative() {
         let mut rng = StdRng::seed_from_u64(5);
-        let spec = TrafficSpec {
-            route: RouteId(0),
+        let profile = TrafficProfile {
             class: 0,
             cc: CcKind::Cubic.into(),
             size: SizeDist::Fixed { bytes: 1500 },
@@ -240,21 +274,21 @@ mod tests {
             parallel: 1,
         };
         for _ in 0..100 {
-            assert!(spec.sample_gap(&mut rng) >= 0.0);
+            assert!(profile.sample_gap(&mut rng) >= 0.0);
         }
-        let zero_gap = TrafficSpec {
+        let zero_gap = TrafficProfile {
             mean_gap_s: 0.0,
-            ..spec
+            ..profile
         };
         assert_eq!(zero_gap.sample_gap(&mut rng), 0.0);
     }
 
     #[test]
     fn table3_helpers() {
-        let mix = short_flow_mix(RouteId(2), 0, CcKind::Cubic);
+        let mix = short_flow_mix(0, CcKind::Cubic);
         assert_eq!(mix.len(), 3);
-        assert!(mix.iter().all(|s| s.route == RouteId(2) && s.parallel == 1));
-        let lf = long_flow(RouteId(1), 1, CcKind::Cubic);
+        assert!(mix.iter().all(|p| p.class == 0 && p.parallel == 1));
+        let lf = long_flow(1, CcKind::Cubic);
         match lf.size {
             SizeDist::Fixed { bytes } => assert_eq!(bytes, 1_250_000_000),
             _ => panic!("long flow must be fixed size"),
@@ -302,8 +336,7 @@ mod tests {
 
     #[test]
     fn sustained_demand_lower_bound() {
-        let spec = TrafficSpec {
-            route: RouteId(0),
+        let profile = TrafficProfile {
             class: 0,
             cc: CcKind::Cubic.into(),
             size: SizeDist::Fixed { bytes: 1_250_000 }, // 10 Mb
@@ -311,10 +344,10 @@ mod tests {
             parallel: 4,
         };
         // Cycle = 9 s gap + 10 Mb / 10 Mb/s = 10 s -> 1 Mb/s per slot.
-        let d = sustained_demand_bps(&spec, 10e6);
+        let d = sustained_demand_bps(&profile, 10e6);
         assert!((d - 4e6).abs() < 1.0, "demand {d} != 4 Mb/s");
         // A faster line shortens the transfer and raises demand.
-        assert!(sustained_demand_bps(&spec, 100e6) > d);
-        assert_eq!(sustained_demand_bps(&spec, 0.0), 0.0);
+        assert!(sustained_demand_bps(&profile, 100e6) > d);
+        assert_eq!(sustained_demand_bps(&profile, 0.0), 0.0);
     }
 }

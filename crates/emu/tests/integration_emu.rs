@@ -4,7 +4,7 @@
 
 use nni_emu::{
     link_params, measured_routes, shaper_at_fraction, CcFleet, CcKind, Differentiation, LinkParams,
-    Route, RouteId, SimConfig, SimReport, Simulator, SizeDist, TrafficSpec,
+    Route, RouteId, SimConfig, SimReport, Simulator, SizeDist, TrafficProfile,
 };
 use nni_topology::library::topology_a;
 use nni_topology::{LinkId, PathId};
@@ -35,16 +35,18 @@ fn shaper_end_to_end_throttles_one_class() {
     );
     for path in g.path_ids() {
         let c2 = paper.classes[1].contains(&path);
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(path.index() as u32),
-            class: c2 as u8,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::Fixed {
-                bytes: 1_000_000_000,
+        sim.add_traffic(
+            RouteId(path.index() as u32),
+            TrafficProfile {
+                class: c2 as u8,
+                cc: CcKind::Cubic.into(),
+                size: SizeDist::Fixed {
+                    bytes: 1_000_000_000,
+                },
+                mean_gap_s: 10.0,
+                parallel: 1,
             },
-            mean_gap_s: 10.0,
-            parallel: 1,
-        });
+        );
     }
     let report = sim.run();
     let goodput = |p: usize| {
@@ -85,16 +87,18 @@ fn cubic_competitive_with_newreno() {
             path: Some(PathId(0)),
         }];
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(20.0, 5));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc: cc.into(),
-            size: SizeDist::Fixed {
-                bytes: 1_000_000_000,
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc: cc.into(),
+                size: SizeDist::Fixed {
+                    bytes: 1_000_000_000,
+                },
+                mean_gap_s: 10.0,
+                parallel: 1,
             },
-            mean_gap_s: 10.0,
-            parallel: 1,
-        });
+        );
         sim.run().segments_delivered
     };
     let newreno = run(CcKind::NewReno);
@@ -136,16 +140,18 @@ fn mixed_fleet_assigns_per_slot_algorithms() {
             path: Some(PathId(0)),
         }];
         let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(20.0, 9));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
-            class: 0,
-            cc,
-            size: SizeDist::Fixed {
-                bytes: 1_000_000_000,
+        sim.add_traffic(
+            RouteId(0),
+            TrafficProfile {
+                class: 0,
+                cc,
+                size: SizeDist::Fixed {
+                    bytes: 1_000_000_000,
+                },
+                mean_gap_s: 10.0,
+                parallel: 4,
             },
-            mean_gap_s: 10.0,
-            parallel: 4,
-        });
+        );
         let report = sim.run();
         (report.segments_delivered, report.segments_dropped)
     };
@@ -177,16 +183,18 @@ fn rtt_dependence_of_goodput() {
         );
         // Two persistent flows congest the bottleneck.
         for p in 0..2 {
-            sim.add_traffic(TrafficSpec {
-                route: RouteId(p),
-                class: 0,
-                cc: CcKind::NewReno.into(),
-                size: SizeDist::Fixed {
-                    bytes: 1_000_000_000,
+            sim.add_traffic(
+                RouteId(p),
+                TrafficProfile {
+                    class: 0,
+                    cc: CcKind::NewReno.into(),
+                    size: SizeDist::Fixed {
+                        bytes: 1_000_000_000,
+                    },
+                    mean_gap_s: 10.0,
+                    parallel: 1,
                 },
-                mean_gap_s: 10.0,
-                parallel: 1,
-            });
+            );
         }
         sim.run().segments_delivered
     };
@@ -216,17 +224,19 @@ fn measurement_log_alignment() {
     };
     let mut sim = Simulator::new(link_params(g, &[]), measured_routes(g), 4, 2, cfg);
     for p in 0..4 {
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(p),
-            class: 0,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: 500_000.0,
-                shape: 1.5,
+        sim.add_traffic(
+            RouteId(p),
+            TrafficProfile {
+                class: 0,
+                cc: CcKind::Cubic.into(),
+                size: SizeDist::ParetoMean {
+                    mean_bytes: 500_000.0,
+                    shape: 1.5,
+                },
+                mean_gap_s: 1.0,
+                parallel: 2,
             },
-            mean_gap_s: 1.0,
-            parallel: 2,
-        });
+        );
     }
     let report = sim.run();
     assert_eq!(total_log_sent(&report), report.segments_sent);
@@ -256,16 +266,18 @@ fn shaper_with_large_buffer_delays_not_drops() {
         path: Some(PathId(0)),
     }];
     let mut sim = Simulator::new(links, routes, 1, 1, quick_cfg(20.0, 12));
-    sim.add_traffic(TrafficSpec {
-        route: RouteId(0),
-        class: 0,
-        cc: CcKind::Cubic.into(),
-        size: SizeDist::Fixed {
-            bytes: 1_000_000_000,
+    sim.add_traffic(
+        RouteId(0),
+        TrafficProfile {
+            class: 0,
+            cc: CcKind::Cubic.into(),
+            size: SizeDist::Fixed {
+                bytes: 1_000_000_000,
+            },
+            mean_gap_s: 10.0,
+            parallel: 1,
         },
-        mean_gap_s: 10.0,
-        parallel: 1,
-    });
+    );
     let report = sim.run();
     assert_eq!(
         report.segments_dropped, 0,

@@ -4,7 +4,7 @@ use nni_emu::event::{CAL_BUCKETS, CAL_BUCKET_NS};
 use nni_emu::{
     CalendarEventQueue, CcKind, CongestionControl, Differentiation, Event, FlowId, LinkParams,
     Packet, PacketSlab, Route, RouteId, ShapeLaneConfig, SimConfig, SimTime, Simulator, SizeDist,
-    TokenBucket, TrafficSpec,
+    TokenBucket, TrafficProfile,
 };
 use nni_topology::{LinkId, PathId};
 use proptest::prelude::*;
@@ -102,8 +102,7 @@ proptest! {
             vec![Route { links: vec![LinkId(0), LinkId(1)], path: Some(PathId(0)) }];
         let cfg = SimConfig { duration_s: 5.0, warmup_s: 0.0, seed, ..SimConfig::default() };
         let mut sim = Simulator::new(links, routes, 1, 1, cfg);
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
+        sim.add_traffic(RouteId(0), TrafficProfile {
             class: 0,
             cc: CcKind::Cubic.into(),
             size: SizeDist::ParetoMean { mean_bytes: mean_mb * 125_000.0, shape: 1.5 },
@@ -141,8 +140,7 @@ proptest! {
             let routes = vec![Route { links: vec![LinkId(0)], path: Some(PathId(0)) }];
             let cfg = SimConfig { duration_s: 3.0, warmup_s: 0.0, seed, ..SimConfig::default() };
             let mut sim = Simulator::new(links, routes, 1, 1, cfg);
-            sim.add_traffic(TrafficSpec {
-                route: RouteId(0),
+            sim.add_traffic(RouteId(0), TrafficProfile {
                 class: 0,
                 cc: CcKind::NewReno.into(),
                 size: SizeDist::ParetoMean { mean_bytes: 300_000.0, shape: 1.4 },
@@ -280,8 +278,7 @@ proptest! {
         let routes = vec![Route { links: vec![LinkId(0)], path: Some(PathId(0)) }];
         let cfg = SimConfig { duration_s: 3.0, warmup_s: 0.0, seed, ..SimConfig::default() };
         let mut sim = Simulator::new(links, routes, 1, 1, cfg);
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(0),
+        sim.add_traffic(RouteId(0), TrafficProfile {
             class: 0,
             cc: CcKind::Cubic.into(),
             size: SizeDist::ParetoMean { mean_bytes: 400_000.0, shape: 1.5 },
@@ -320,8 +317,7 @@ proptest! {
         let cfg = SimConfig { duration_s: 3.0, warmup_s: 0.0, seed, ..SimConfig::default() };
         let mut sim = Simulator::new(links, routes, 2, 2, cfg);
         for (r, class) in [(0u32, 0u8), (1, 1)] {
-            sim.add_traffic(TrafficSpec {
-                route: RouteId(r),
+            sim.add_traffic(RouteId(r), TrafficProfile {
                 class,
                 cc: CcKind::Cubic.into(),
                 size: SizeDist::Fixed { bytes: 50_000_000 },

@@ -14,7 +14,7 @@
 //!   question for virtual links: [`elim::in_column_space`].
 //! * **§6.2** — with noisy measurements "no system has a perfect solution";
 //!   the graded unsolvability signal is the least-squares residual,
-//!   [`qr::lstsq`] / [`solve::residual_norm`].
+//!   [`qr::lstsq`] / [`qr::residual`].
 //!
 //! All tolerances are explicit; exact-mode callers use
 //! [`elim::default_tolerance`], measurement-mode callers derive a tolerance
@@ -28,4 +28,4 @@ pub mod solve;
 pub use elim::{default_tolerance, in_column_space, rank, rank_default, rref, Echelon};
 pub use matrix::{dot, max_abs, norm2, Matrix};
 pub use qr::{lstsq, residual, Qr};
-pub use solve::{analyze, analyze_default, is_solvable, residual_norm, Solvability};
+pub use solve::{analyze, is_solvable, Solvability};

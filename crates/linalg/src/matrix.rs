@@ -168,25 +168,9 @@ impl Matrix {
         out
     }
 
-    /// Returns the matrix restricted to the given columns, in order.
-    pub fn select_cols(&self, cols: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, cols.len());
-        for i in 0..self.rows {
-            for (jj, &j) in cols.iter().enumerate() {
-                out[(i, jj)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Largest absolute entry (0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Swaps rows `a` and `b` in place.
@@ -366,19 +350,11 @@ mod tests {
     }
 
     #[test]
-    fn select_cols_projects() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let s = m.select_cols(&[2, 0]);
-        assert_eq!(s, Matrix::from_rows(&[vec![3.0, 1.0], vec![6.0, 4.0]]));
-    }
-
-    #[test]
     fn norms_and_dot() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(max_abs(&[-7.0, 2.0]), 7.0);
         let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
     }
 }

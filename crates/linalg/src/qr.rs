@@ -130,29 +130,6 @@ pub fn residual(a: &Matrix, x: &[f64], y: &[f64]) -> Vec<f64> {
     a.matvec(x).iter().zip(y).map(|(ax, yy)| ax - yy).collect()
 }
 
-/// Verifies `Q R == A` by reconstructing the product `Q^T A` and comparing
-/// against `R`; exposed for tests and debugging only.
-pub fn qr_reconstruction_error(a: &Matrix) -> f64 {
-    let qr = Qr::new(a);
-    let (m, n) = (a.rows(), a.cols());
-    let mut err = 0.0_f64;
-    // For each canonical basis vector e_j of R^n, compare A e_j mapped through
-    // Q^T with the corresponding column of R.
-    for j in 0..n {
-        let mut col = a.col(j);
-        qr.apply_qt(&mut col);
-        // Rows up to the triangle must match R; rows below it must be zero.
-        for (i, &ci) in col.iter().enumerate().take(m.min(n)) {
-            let want = if i <= j { qr.factors[(i, j)] } else { 0.0 };
-            err = err.max((ci - want).abs());
-        }
-        for &ci in &col[n.min(m)..] {
-            err = err.max(ci.abs());
-        }
-    }
-    err
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 
 use crate::elim::{default_tolerance, rref};
 use crate::matrix::{norm2, Matrix};
-use crate::qr::lstsq;
+use crate::qr::{lstsq, residual};
 
 /// Outcome of analysing the linear system `A x = y`.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,17 +57,8 @@ pub fn analyze(a: &Matrix, y: &[f64], tol: f64) -> Solvability {
     let inconsistent = e.pivot_cols.contains(&n);
     if inconsistent {
         let ls = lstsq(a, y);
-        let residual = {
-            let r: Vec<f64> = a
-                .matvec(&ls)
-                .iter()
-                .zip(y)
-                .map(|(ax, yy)| ax - yy)
-                .collect();
-            norm2(&r)
-        };
         return Solvability::Inconsistent {
-            residual,
+            residual: norm2(&residual(a, &ls, y)),
             least_squares: ls,
         };
     }
@@ -80,22 +71,12 @@ pub fn analyze(a: &Matrix, y: &[f64], tol: f64) -> Solvability {
     Solvability::Consistent { solution, unique }
 }
 
-/// [`analyze`] with the scale-aware default tolerance of the augmented system.
-pub fn analyze_default(a: &Matrix, y: &[f64]) -> Solvability {
-    let aug = a.augment_col(y);
-    analyze(a, y, default_tolerance(&aug))
-}
-
-/// Convenience: `true` iff `A x = y` has an exact solution within `tol`.
+/// Whether `A x = y` has an exact solution, with `tol` floored at the
+/// scale-aware default tolerance of the augmented system `[A | y]` — the
+/// consistency check of Systems 3 and 4.
 pub fn is_solvable(a: &Matrix, y: &[f64], tol: f64) -> bool {
+    let tol = tol.max(default_tolerance(&a.augment_col(y)));
     analyze(a, y, tol).is_consistent()
-}
-
-/// Least-squares residual norm `min_x ||A x - y||_2`.
-pub fn residual_norm(a: &Matrix, y: &[f64]) -> f64 {
-    let x = lstsq(a, y);
-    let r: Vec<f64> = a.matvec(&x).iter().zip(y).map(|(ax, yy)| ax - yy).collect();
-    norm2(&r)
 }
 
 #[cfg(test)]
@@ -109,7 +90,8 @@ mod tests {
     #[test]
     fn unique_solution_found() {
         let a = m(&[vec![2.0, 0.0], vec![0.0, 4.0]]);
-        match analyze_default(&a, &[2.0, 8.0]) {
+        let y = [2.0, 8.0];
+        match analyze(&a, &y, default_tolerance(&a.augment_col(&y))) {
             Solvability::Consistent { solution, unique } => {
                 assert!(unique);
                 assert!((solution[0] - 1.0).abs() < 1e-12);
@@ -122,7 +104,8 @@ mod tests {
     #[test]
     fn underdetermined_is_consistent_not_unique() {
         let a = m(&[vec![1.0, 1.0]]);
-        match analyze_default(&a, &[3.0]) {
+        let y = [3.0];
+        match analyze(&a, &y, default_tolerance(&a.augment_col(&y))) {
             Solvability::Consistent { solution, unique } => {
                 assert!(!unique);
                 let check = a.matvec(&solution);
@@ -136,7 +119,8 @@ mod tests {
     fn inconsistent_detected_with_residual() {
         // x = 0 and x = 1 simultaneously.
         let a = m(&[vec![1.0], vec![1.0]]);
-        match analyze_default(&a, &[0.0, 1.0]) {
+        let y = [0.0, 1.0];
+        match analyze(&a, &y, default_tolerance(&a.augment_col(&y))) {
             Solvability::Inconsistent {
                 residual,
                 least_squares,
@@ -186,7 +170,7 @@ mod tests {
     fn residual_norm_zero_for_consistent() {
         let a = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let y = a.matvec(&[1.0, -1.0]);
-        assert!(residual_norm(&a, &y) < 1e-9);
+        assert!(norm2(&residual(&a, &lstsq(&a, &y), &y)) < 1e-9);
     }
 
     #[test]

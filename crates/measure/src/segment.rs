@@ -367,11 +367,6 @@ impl SegmentFollower {
         self.seen_intervals
     }
 
-    /// Whether the header chunk has been consumed.
-    pub fn has_header(&self) -> bool {
-        self.n_paths.is_some()
-    }
-
     /// Reads everything newly complete. An empty batch means nothing new
     /// landed (or the producer is mid-chunk); an error is terminal for
     /// this follower.

@@ -15,14 +15,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use nni_core::Quality;
 use nni_emu::{
     background_route, link_params, measured_routes, LinkParams, Route, RouteId, SimConfig,
-    SimReport, Simulator, TrafficSpec,
+    SimReport, Simulator, TrafficProfile,
 };
 use nni_measure::{
     MeasurementLog, MeasurementSet, MeasurementSource, Provenance, SetKey, SourceError,
 };
 
 use crate::infer::InferenceConfig;
-use crate::spec::{Scenario, TrafficProfile};
+use crate::spec::Scenario;
 
 /// Counts every packet-level simulation this process runs — the probe the
 /// re-inference tests use to assert that an inference-axis sweep simulates
@@ -41,7 +41,7 @@ pub struct Experiment {
     scenario: Scenario,
     links: Vec<LinkParams>,
     routes: Vec<Route>,
-    traffic: Vec<TrafficSpec>,
+    traffic: Vec<(RouteId, TrafficProfile)>,
     /// `Scenario::measurement_fingerprint`, computed once at compile time —
     /// sweeps key their caches on it per member.
     fingerprint: u64,
@@ -61,15 +61,15 @@ impl Experiment {
             links[l.index()].queue_bytes = Some(q.resolve_bytes(mss));
         }
         let mut routes = measured_routes(g);
-        let mut traffic: Vec<TrafficSpec> = scenario
+        let mut traffic: Vec<(RouteId, TrafficProfile)> = scenario
             .path_traffic
             .iter()
-            .map(|(path, profile)| spec_for(RouteId(path.index() as u32), profile))
+            .map(|(path, profile)| (RouteId(path.index() as u32), profile.clone()))
             .collect();
         for bg in &scenario.background {
             let route = RouteId(routes.len() as u32);
             routes.push(background_route(bg.links.clone()));
-            traffic.extend(bg.profiles.iter().map(|p| spec_for(route, p)));
+            traffic.extend(bg.profiles.iter().map(|p| (route, p.clone())));
         }
         let fingerprint = scenario.measurement_fingerprint();
         Experiment {
@@ -98,9 +98,9 @@ impl Experiment {
         &self.routes
     }
 
-    /// The materialized traffic sources, in path order then background
-    /// order.
-    pub fn traffic(&self) -> &[TrafficSpec] {
+    /// The materialized traffic sources as `(route, profile)` pairs, in
+    /// path order then background order.
+    pub fn traffic(&self) -> &[(RouteId, TrafficProfile)] {
         &self.traffic
     }
 
@@ -129,8 +129,8 @@ impl Experiment {
             s.class_label_count(),
             cfg,
         );
-        for spec in &self.traffic {
-            sim.add_traffic(spec.clone());
+        for (route, profile) in &self.traffic {
+            sim.add_traffic(*route, profile.clone());
         }
         sim.run()
     }
@@ -217,17 +217,6 @@ impl MeasurementSource for Experiment {
     }
 }
 
-fn spec_for(route: RouteId, p: &TrafficProfile) -> TrafficSpec {
-    TrafficSpec {
-        route,
-        class: p.class,
-        cc: p.cc.clone(),
-        size: p.size,
-        mean_gap_s: p.mean_gap_s,
-        parallel: p.parallel,
-    }
-}
-
 /// Everything one experiment run produces. `PartialEq` compares every field
 /// bit for bit — the executor-equivalence guarantee is checked with plain
 /// `==`.
@@ -251,7 +240,7 @@ pub struct ExperimentOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Expectation, TrafficProfile};
+    use crate::spec::Expectation;
     use nni_emu::{policer_at_fraction, CcKind};
     use nni_topology::library::topology_a;
 

@@ -36,7 +36,7 @@
 //! directory transients fire on every attempt — useful for forcing an
 //! attempt-budget exhaustion in a test.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use nni_measure::Fnv;
 
@@ -305,11 +305,6 @@ impl FaultPlan {
     }
 }
 
-/// Best-effort cleanup of a plan's claim-token directory between runs.
-pub fn reset_claims(state: &Path) {
-    let _ = std::fs::remove_dir_all(state);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,7 +373,7 @@ mod tests {
     #[test]
     fn claims_fire_once_with_a_state_dir() {
         let dir = std::env::temp_dir().join(format!("nni-fault-claims-{}", std::process::id()));
-        reset_claims(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
         let plan = FaultPlan {
             state: Some(dir.clone()),
             ..FaultPlan::seeded(1)
@@ -388,7 +383,7 @@ mod tests {
         assert!(plan.claim(6), "independent per job token");
         let stateless = FaultPlan::seeded(1);
         assert!(stateless.claim(5) && stateless.claim(5), "no dir: always");
-        reset_claims(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

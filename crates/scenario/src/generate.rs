@@ -29,11 +29,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use nni_emu::{policer_at_fraction, shaper_at_fraction, CcFleet, CcKind};
+use nni_emu::{policer_at_fraction, shaper_at_fraction, CcFleet, CcKind, TrafficProfile};
 use nni_topology::library::{dumbbell, parking_lot, topology_a, PaperTopology};
 use nni_topology::LinkId;
 
-use crate::spec::{Expectation, QueueOverride, Scenario, TrafficProfile};
+use crate::spec::{Expectation, QueueOverride, Scenario};
 
 /// Knobs bounding the generated population.
 ///

@@ -118,10 +118,12 @@ pub use proto::{
 };
 pub use spec::{
     BackgroundTraffic, Expectation, MeasurementConfig, QueueOverride, Scenario, ScenarioBuilder,
-    ScenarioError, TrafficProfile, DEFAULT_NORMALIZE_SALT,
+    ScenarioError, DEFAULT_NORMALIZE_SALT,
 };
 pub use stream::StreamingInference;
 pub use sweep::{reinfer_sets, run_sets, ReinferOutcome, SweepMember, SweepOutcome, SweepSet};
+// The traffic description scenarios carry, defined once in the emulator.
+pub use nni_emu::TrafficProfile;
 // The dataset seam's types, re-exported so consumers of the experiment
 // surface need only this crate.
 pub use nni_measure::{

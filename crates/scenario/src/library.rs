@@ -7,15 +7,13 @@
 //! [`crate::baselines`]) consumes identical inputs.
 
 use nni_emu::{
-    policer_at_fraction, shaper_at_fraction, CcFleet, CcKind, Differentiation, ShapeLaneConfig,
-    SizeDist,
+    long_flow, policer_at_fraction, shaper_at_fraction, short_flow_mix, CcFleet, CcKind,
+    Differentiation, ShapeLaneConfig, SizeDist, TrafficProfile,
 };
 use nni_topology::library::{topology_a, topology_b, PaperTopology, BOTTLENECK_BPS};
 use nni_topology::PathId;
 
-use crate::spec::{
-    Expectation, MeasurementConfig, QueueOverride, Scenario, ScenarioBuilder, TrafficProfile,
-};
+use crate::spec::{Expectation, MeasurementConfig, QueueOverride, Scenario, ScenarioBuilder};
 use crate::sweep::SweepSet;
 
 /// What the shared link of topology A does (Table 2's "Link l5 behavior").
@@ -190,15 +188,17 @@ fn topology_b_base(name: &str, p: TopologyBParams, paper: &PaperTopology) -> Sce
     // BitTorrent-like restarts of §1's motivation, whose slow-starts into
     // the policers make same-class loss co-occurrence observable).
     for &path in &paper.classes[0] {
-        for profile in short_flow_mix_profiles(0) {
+        for profile in short_flow_mix(0, CcKind::Cubic) {
             b = b.path_traffic(path, profile);
         }
     }
     for &path in &paper.classes[1] {
-        b = b.path_traffic(path, long_flow_profile(1)).path_traffic(
-            path,
-            TrafficProfile::pareto_bits(1, CcKind::Cubic, 40e6, 2.0, 3),
-        );
+        b = b
+            .path_traffic(path, long_flow(1, CcKind::Cubic))
+            .path_traffic(
+                path,
+                TrafficProfile::pareto_bits(1, CcKind::Cubic, 40e6, 2.0, 3),
+            );
     }
 
     // White hosts: unmeasured background routes carrying both mixes; the
@@ -209,39 +209,11 @@ fn topology_b_base(name: &str, p: TopologyBParams, paper: &PaperTopology) -> Sce
         paper.links_named(&["l23", "l8", "l11", "l19"]),
     ];
     for links in bg_routes {
-        let mut profiles = short_flow_mix_profiles(0);
-        profiles.push(long_flow_profile(1));
+        let mut profiles = short_flow_mix(0, CcKind::Cubic);
+        profiles.push(long_flow(1, CcKind::Cubic));
         b = b.background_traffic(links, profiles);
     }
     b
-}
-
-/// Strips the route from an emu-level [`TrafficSpec`], leaving the
-/// route-agnostic profile — so the Table 3 traffic constants live only in
-/// `nni_emu::traffic`.
-fn profile_of(spec: &nni_emu::TrafficSpec) -> TrafficProfile {
-    TrafficProfile {
-        class: spec.class,
-        cc: spec.cc.clone(),
-        size: spec.size,
-        mean_gap_s: spec.mean_gap_s,
-        parallel: spec.parallel,
-    }
-}
-
-fn short_flow_mix_profiles(class: u8) -> Vec<TrafficProfile> {
-    nni_emu::short_flow_mix(nni_emu::RouteId(0), class, CcKind::Cubic)
-        .iter()
-        .map(profile_of)
-        .collect()
-}
-
-fn long_flow_profile(class: u8) -> TrafficProfile {
-    profile_of(&nni_emu::long_flow(
-        nni_emu::RouteId(0),
-        class,
-        CcKind::Cubic,
-    ))
 }
 
 /// The paper's §6.4 experiment: topology B with policers on `l5`, `l14`, and

@@ -260,11 +260,6 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Whether every job completed.
-    pub fn is_complete(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-
     /// Strict view: all reports in input order, or the first quarantine as
     /// a [`ProcessError::JobFailed`].
     pub fn into_reports(self) -> Result<(Vec<SimReport>, ProcessStats), ProcessError> {
@@ -378,11 +373,6 @@ impl ProcessExecutor {
     /// The worker binary the pool spawns.
     pub fn worker_bin(&self) -> &Path {
         &self.worker_bin
-    }
-
-    /// The per-job wall-clock timeout.
-    pub fn job_timeout(&self) -> Duration {
-        self.job_timeout
     }
 
     /// Runs every scenario on the pool, quarantining jobs that exhaust
@@ -877,7 +867,7 @@ mod tests {
         assert_eq!(exec.worker_bin(), Path::new("/tmp/custom-worker"));
         assert_eq!(exec.max_attempts, 1, "attempt budget floors at one");
         assert_eq!(
-            exec.job_timeout(),
+            exec.job_timeout,
             Duration::from_millis(1),
             "timeout floors at one millisecond"
         );
@@ -892,7 +882,7 @@ mod tests {
         assert_eq!(stats, ProcessStats::default());
         assert!(exec.execute(&[]).is_empty());
         let batch = exec.try_batch(&[]).expect("empty batch");
-        assert!(batch.is_complete());
+        assert!(batch.quarantined.is_empty());
     }
 
     #[test]

@@ -39,7 +39,9 @@
 
 use std::io::{Read, Write};
 
-use nni_emu::{CcFleet, CcKind, Differentiation, ShapeLaneConfig, SimReport, SizeDist};
+use nni_emu::{
+    CcFleet, CcKind, Differentiation, ShapeLaneConfig, SimReport, SizeDist, TrafficProfile,
+};
 use nni_measure::codec::{self, CodecError};
 use nni_measure::wire::{read_frame, write_frame, FrameError};
 use nni_measure::{Sink, WireReader, WireWriter};
@@ -47,7 +49,6 @@ use nni_topology::{LinkId, PathId};
 
 use crate::spec::{
     BackgroundTraffic, Expectation, MeasurementConfig, QueueOverride, Scenario, ScenarioBuilder,
-    TrafficProfile,
 };
 
 /// Frame magic of a job (parent → worker): job id + scenario.

@@ -10,7 +10,7 @@
 //! [`Experiment`]: crate::Experiment
 
 use nni_core::Config;
-use nni_emu::{CcFleet, CcKind, ClassLabel, Differentiation, SizeDist};
+use nni_emu::{ClassLabel, Differentiation, TrafficProfile};
 use nni_topology::{LinkId, PathId, Topology};
 
 use crate::experiment::Experiment;
@@ -58,83 +58,6 @@ impl Default for MeasurementConfig {
             record_delay: false,
             delay_feature: None,
         }
-    }
-}
-
-/// One traffic source: `parallel` endless flow slots with a size
-/// distribution and an exponential idle gap, stamped with a class label.
-///
-/// The label is what differentiation mechanisms match on; it usually — but
-/// not necessarily — mirrors the path's performance class (background hosts
-/// may emit several labels on the same route).
-///
-/// Slot `k` runs `cc.kind_for(k)`, so one profile can model a heterogeneous
-/// *fleet* of end-hosts:
-///
-/// ```
-/// use nni_scenario::TrafficProfile;
-/// use nni_emu::{CcFleet, CcKind};
-///
-/// // Three CUBIC downloads contending with one NewReno upload.
-/// let profile = TrafficProfile::pareto_bits(1, CcKind::Cubic, 10e6, 10.0, 4)
-///     .with_fleet(CcFleet::fleet(&[(CcKind::Cubic, 3), (CcKind::NewReno, 1)]));
-/// assert!(profile.cc.is_mixed());
-/// ```
-#[derive(Debug, Clone)]
-pub struct TrafficProfile {
-    /// Class label stamped on every packet.
-    pub class: ClassLabel,
-    /// Congestion-control assignment across the parallel slots (a plain
-    /// [`CcKind`] converts into a uniform fleet).
-    pub cc: CcFleet,
-    /// Flow-size distribution.
-    pub size: SizeDist,
-    /// Mean inter-flow idle time in seconds.
-    pub mean_gap_s: f64,
-    /// Number of parallel flow slots.
-    pub parallel: usize,
-}
-
-impl TrafficProfile {
-    /// Pareto-sized flows (shape 1.5, the scenarios' default) with the given
-    /// mean size in bits.
-    pub fn pareto_bits(
-        class: ClassLabel,
-        cc: CcKind,
-        mean_bits: f64,
-        mean_gap_s: f64,
-        parallel: usize,
-    ) -> TrafficProfile {
-        TrafficProfile {
-            class,
-            cc: cc.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: mean_bits / 8.0,
-                shape: 1.5,
-            },
-            mean_gap_s,
-            parallel,
-        }
-    }
-
-    /// A persistent fixed-size transfer (e.g. Table 3's 10 Gb flows).
-    pub fn persistent_bits(class: ClassLabel, cc: CcKind, bits: f64) -> TrafficProfile {
-        TrafficProfile {
-            class,
-            cc: cc.into(),
-            size: SizeDist::Fixed {
-                bytes: (bits / 8.0) as u64,
-            },
-            mean_gap_s: 10.0,
-            parallel: 1,
-        }
-    }
-
-    /// Same profile with a different congestion-control fleet — the
-    /// one-liner for turning any constructor's output heterogeneous.
-    pub fn with_fleet(mut self, fleet: CcFleet) -> TrafficProfile {
-        self.cc = fleet;
-        self
     }
 }
 
@@ -682,7 +605,7 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nni_emu::policer_at_fraction;
+    use nni_emu::{policer_at_fraction, CcFleet, CcKind};
     use nni_topology::library::topology_a;
 
     fn profile() -> TrafficProfile {

@@ -24,13 +24,6 @@ pub struct TwoClusters {
     pub collapsed: bool,
 }
 
-impl TwoClusters {
-    /// Number of entries assigned to the high cluster.
-    pub fn high_count(&self) -> usize {
-        self.high.iter().filter(|&&h| h).count()
-    }
-}
-
 /// Minimum-separation rule that prevents splitting pure noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeparationGuard {
@@ -175,7 +168,7 @@ mod tests {
         let scores = [0.0011, 0.0012, 0.0013, 0.0014, 0.0015];
         let c = two_means(&scores, SeparationGuard::default());
         assert!(c.collapsed, "noise-level scores must not split");
-        assert_eq!(c.high_count(), 0);
+        assert_eq!(c.high.iter().filter(|&&h| h).count(), 0);
     }
 
     #[test]
@@ -183,7 +176,7 @@ mod tests {
         let scores = [0.0011, 0.0012, 0.0013, 0.9014, 0.9015];
         let c = two_means(&scores, SeparationGuard::off());
         assert!(!c.collapsed);
-        assert_eq!(c.high_count(), 2);
+        assert_eq!(c.high.iter().filter(|&&h| h).count(), 2);
     }
 
     #[test]
@@ -228,6 +221,6 @@ mod tests {
         // Three tight groups; 2-means must cut at the largest gap.
         let scores = [0.0, 0.01, 0.02, 0.5, 0.51, 0.52, 0.53];
         let c = two_means(&scores, SeparationGuard::default());
-        assert_eq!(c.high_count(), 4);
+        assert_eq!(c.high.iter().filter(|&&h| h).count(), 4);
     }
 }

@@ -1,29 +1,7 @@
-//! Descriptive statistics: mean, variance, quantiles, five-number summaries.
+//! Descriptive statistics: quantiles and five-number summaries.
 //!
 //! Figure 10 of the paper reports per-link and per-link-sequence performance
 //! as boxplots; [`FiveNumber`] is the exact data a boxplot renders.
-
-/// Arithmetic mean; 0 for empty input.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Unbiased sample variance; 0 for fewer than two samples.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
 
 /// Linear-interpolation quantile (`q` in `[0, 1]`) of unsorted data.
 ///
@@ -76,11 +54,6 @@ impl FiveNumber {
         }
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// Renders as the compact `min/q1/med/q3/max` text form used by the
     /// experiment binaries.
     pub fn render(&self) -> String {
@@ -94,23 +67,6 @@ impl FiveNumber {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_of_simple_sequence() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn variance_of_constant_is_zero() {
-        assert_eq!(variance(&[4.0, 4.0, 4.0]), 0.0);
-    }
-
-    #[test]
-    fn variance_known_value() {
-        // var([1,2,3,4]) = 5/3 (unbiased)
-        assert!((variance(&[1.0, 2.0, 3.0, 4.0]) - 5.0 / 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn quantile_interpolates() {
@@ -132,7 +88,6 @@ mod tests {
         assert!(f.min <= f.q1 && f.q1 <= f.median && f.median <= f.q3 && f.q3 <= f.max);
         assert_eq!(f.min, 1.0);
         assert_eq!(f.max, 9.0);
-        assert!(f.iqr() >= 0.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Statistics support for neutrality inference:
 //!
-//! * [`describe`] — means, variances, quantiles, and the five-number
-//!   summaries behind Figure 10's boxplots.
+//! * [`describe`] — quantiles and the five-number summaries behind
+//!   Figure 10's boxplots.
 //! * [`cluster`] — the "standard clustering" of §6.2: exact 1-D two-means
 //!   over slice-system unsolvability scores, with an explicit
 //!   [`cluster::SeparationGuard`] so that pure noise never splits (the paper
@@ -16,5 +16,5 @@ pub mod describe;
 pub mod dist;
 
 pub use cluster::{two_means, SeparationGuard, TwoClusters};
-pub use describe::{mean, median, quantile, std_dev, variance, FiveNumber};
+pub use describe::{median, quantile, FiveNumber};
 pub use dist::{Exponential, Pareto};

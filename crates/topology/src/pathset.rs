@@ -60,12 +60,6 @@ impl PathSet {
         self.paths.binary_search(&p).is_ok()
     }
 
-    /// Whether every member path belongs to `other` (interpreted as a set of
-    /// paths — used for the `σ ⊆ c_n` tests of Lemma 3).
-    pub fn is_subset_of_paths(&self, other: &[PathId]) -> bool {
-        self.paths.iter().all(|p| other.contains(p))
-    }
-
     /// Renders as the paper's `{p1, p3}` notation.
     pub fn render(&self) -> String {
         let inner: Vec<String> = self.paths.iter().map(|p| p.to_string()).collect();
@@ -146,9 +140,10 @@ mod tests {
 
     #[test]
     fn subset_of_paths() {
+        // {p0, p2} lies inside {p0, p1, p2} but not inside {p0, p1}.
         let s = PathSet::new(vec![PathId(0), PathId(2)]);
-        assert!(s.is_subset_of_paths(&[PathId(0), PathId(1), PathId(2)]));
-        assert!(!s.is_subset_of_paths(&[PathId(0), PathId(1)]));
+        assert!(s.contains(PathId(0)) && s.contains(PathId(2)));
+        assert!(!s.contains(PathId(1)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use netneutrality::core::{evaluate, identify, Config};
 use netneutrality::emu::{
     background_route, link_params, long_flow, measured_routes, policer_at_fraction, short_flow_mix,
-    CcKind, RouteId, SimConfig, Simulator, SizeDist, TrafficSpec,
+    CcKind, RouteId, SimConfig, Simulator, TrafficProfile,
 };
 use netneutrality::measure::{MeasuredObservations, NormalizeConfig};
 use netneutrality::topology::library::topology_b;
@@ -48,28 +48,22 @@ fn main() {
     // Short-flow customers (class 1), long-flow customers (class 2, policed),
     // plus unmeasured background load on the neutral l13.
     for &p in &paper.classes[0] {
-        for spec in short_flow_mix(RouteId(p.index() as u32), 0, CcKind::Cubic) {
-            sim.add_traffic(spec);
+        for profile in short_flow_mix(0, CcKind::Cubic) {
+            sim.add_traffic(RouteId(p.index() as u32), profile);
         }
     }
     for &p in &paper.classes[1] {
-        sim.add_traffic(long_flow(RouteId(p.index() as u32), 1, CcKind::Cubic));
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(p.index() as u32),
-            class: 1,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: 40e6 / 8.0,
-                shape: 1.5,
-            },
-            mean_gap_s: 2.0,
-            parallel: 3,
-        });
+        let route = RouteId(p.index() as u32);
+        sim.add_traffic(route, long_flow(1, CcKind::Cubic));
+        sim.add_traffic(
+            route,
+            TrafficProfile::pareto_bits(1, CcKind::Cubic, 40e6, 2.0, 3),
+        );
     }
-    for spec in short_flow_mix(bg, 0, CcKind::Cubic) {
-        sim.add_traffic(spec);
+    for profile in short_flow_mix(0, CcKind::Cubic) {
+        sim.add_traffic(bg, profile);
     }
-    sim.add_traffic(long_flow(bg, 1, CcKind::Cubic));
+    sim.add_traffic(bg, long_flow(1, CcKind::Cubic));
 
     println!("emulating {duration} s across 24 links, 15 measured paths ...");
     let report = sim.run();

@@ -11,7 +11,7 @@
 use netneutrality::core::{identify, Config};
 use netneutrality::emu::{
     link_params, measured_routes, policer_at_fraction, CcKind, RouteId, SimConfig, Simulator,
-    SizeDist, TrafficSpec,
+    TrafficProfile,
 };
 use netneutrality::measure::{MeasuredObservations, NormalizeConfig};
 use netneutrality::topology::library::topology_a;
@@ -33,17 +33,10 @@ fn main() {
     let mut sim = Simulator::new(link_params(g, &mechanisms), measured_routes(g), 4, 2, cfg);
     for path in g.path_ids() {
         let bulk = paper.classes[1].contains(&path);
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(path.index() as u32),
-            class: bulk as u8,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: 10e6 / 8.0,
-                shape: 1.5,
-            },
-            mean_gap_s: 10.0,
-            parallel: 20,
-        });
+        sim.add_traffic(
+            RouteId(path.index() as u32),
+            TrafficProfile::pareto_bits(bulk as u8, CcKind::Cubic, 10e6, 10.0, 20),
+        );
     }
 
     println!("emulating 60 s of traffic through the policed bottleneck ...");

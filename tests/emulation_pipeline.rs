@@ -7,7 +7,7 @@
 use netneutrality::core::{identify, Config, Observations};
 use netneutrality::emu::{
     link_params, measured_routes, policer_at_fraction, CcKind, RouteId, SimConfig, SimReport,
-    Simulator, SizeDist, TrafficSpec,
+    Simulator, TrafficProfile,
 };
 use netneutrality::measure::{MeasuredObservations, NormalizeConfig};
 use netneutrality::topology::library::topology_a;
@@ -29,17 +29,10 @@ fn run_dumbbell(policing: Option<f64>, duration_s: f64, seed: u64) -> SimReport 
     let mut sim = Simulator::new(link_params(g, &mechanisms), measured_routes(g), 4, 2, cfg);
     for path in g.path_ids() {
         let c2 = paper.classes[1].contains(&path);
-        sim.add_traffic(TrafficSpec {
-            route: RouteId(path.index() as u32),
-            class: c2 as u8,
-            cc: CcKind::Cubic.into(),
-            size: SizeDist::ParetoMean {
-                mean_bytes: 10e6 / 8.0,
-                shape: 1.5,
-            },
-            mean_gap_s: 10.0,
-            parallel: 20,
-        });
+        sim.add_traffic(
+            RouteId(path.index() as u32),
+            TrafficProfile::pareto_bits(c2 as u8, CcKind::Cubic, 10e6, 10.0, 20),
+        );
     }
     sim.run()
 }
