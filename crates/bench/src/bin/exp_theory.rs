@@ -81,7 +81,7 @@ fn main() {
     println!("--- Figure 6: slice for τ = ⟨l1⟩ of Figure 4's network ---");
     println!(
         "path pairs sharing exactly ⟨l1⟩: {:?}",
-        s.pairs
+        s.pairs()
             .iter()
             .map(|[a, b]| format!("{{{a},{b}}}"))
             .collect::<Vec<_>>()

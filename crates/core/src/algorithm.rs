@@ -14,7 +14,7 @@
 //! ```
 
 use crate::obs::Observations;
-use crate::slice::{enumerate_slices, LinkPaths, Slice};
+use crate::slice::{slices_of, LinkPaths, Slice};
 use nni_linalg::is_solvable;
 use nni_stats::{two_means, SeparationGuard};
 use nni_topology::{LinkSeq, PathId, Topology};
@@ -197,23 +197,30 @@ impl InferenceResult {
 #[derive(Debug, Clone)]
 pub struct IdentifyPlan {
     slices: Vec<Slice>,
-    groups: Vec<Vec<PathId>>,
+    /// Every slice's normalization group, end to end.
+    group_paths: Vec<PathId>,
+    /// Slice `i`'s group is `group_paths[group_ends[i]..group_ends[i + 1]]`.
+    group_ends: Vec<usize>,
 }
 
 impl IdentifyPlan {
     /// Enumerates and filters the slices of `topology` and precomputes each
     /// slice's normalization group `Paths(τ)` from link bitsets.
     pub fn new(topology: &Topology, cfg: &Config) -> IdentifyPlan {
-        let slices: Vec<Slice> = enumerate_slices(topology)
-            .into_iter()
-            .filter(|s| s.pair_count() >= cfg.min_pairs)
-            .collect();
         let link_paths = LinkPaths::new(topology);
-        let groups = slices
-            .iter()
-            .map(|s| link_paths.through_all(&s.tau))
-            .collect();
-        IdentifyPlan { slices, groups }
+        let slices = slices_of(topology, &link_paths, cfg.min_pairs);
+        let (mut group_paths, mut all) = (Vec::new(), Vec::new());
+        let mut group_ends = Vec::with_capacity(slices.len() + 1);
+        group_ends.push(0);
+        for s in &slices {
+            link_paths.through_all(s.tau(), &mut all, &mut group_paths);
+            group_ends.push(group_paths.len());
+        }
+        IdentifyPlan {
+            slices,
+            group_paths,
+            group_ends,
+        }
     }
 
     /// The analyzable slices, in the deterministic `τ` order
@@ -226,7 +233,7 @@ impl IdentifyPlan {
     ///
     /// [`slices`]: IdentifyPlan::slices
     pub fn group(&self, i: usize) -> &[PathId] {
-        &self.groups[i]
+        &self.group_paths[self.group_ends[i]..self.group_ends[i + 1]]
     }
 
     /// Queries `obs` for every slice's observation vector, in plan order —
@@ -234,8 +241,8 @@ impl IdentifyPlan {
     pub fn observe(&self, obs: &impl Observations) -> Vec<Vec<f64>> {
         self.slices
             .iter()
-            .zip(&self.groups)
-            .map(|(s, g)| obs.observe_all(g, s.theta()))
+            .enumerate()
+            .map(|(i, s)| obs.observe_all(self.group(i), s.theta()))
             .collect()
     }
 }
@@ -284,7 +291,7 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
         };
         nan.push(has_nan);
         verdicts.push(SliceVerdict {
-            tau: s.tau.clone(),
+            tau: s.tau().clone(),
             estimates,
             unsolvability,
             nonneutral,

@@ -24,7 +24,7 @@ pub fn system4_unsolvable(
     obs: &impl Observations,
     tol: f64,
 ) -> bool {
-    let group = normalization_group(topology, &slice.tau);
+    let group = normalization_group(topology, slice.tau());
     let y = obs.observe_all(&group, slice.theta());
     !is_solvable(&slice.routing_matrix(), &y, tol)
 }
@@ -44,8 +44,8 @@ pub fn lemma3_condition(slice: &Slice, classes: &Classes, top_class: usize) -> b
         }
         let members = classes.members(n);
         let inside = |pair: &[nni_topology::PathId; 2]| pair.iter().all(|p| members.contains(p));
-        let has_inside = slice.pairs.iter().any(inside);
-        let has_outside = slice.pairs.iter().any(|p| !inside(p));
+        let has_inside = slice.pairs().iter().any(inside);
+        let has_outside = slice.pairs().iter().any(|p| !inside(p));
         if has_inside && has_outside {
             return true;
         }
@@ -104,7 +104,7 @@ mod tests {
         let (t, classes, perf) = figure4_truth();
         let l1 = t.topology.link_by_name("l1").unwrap();
         let s = slice_for(&t.topology, &LinkSeq::single(l1)).unwrap();
-        let top = seq_top_class(&perf, &s.tau);
+        let top = seq_top_class(&perf, s.tau());
         assert_eq!(top, 0);
         assert!(lemma3_condition(&s, &classes, top));
     }
@@ -130,7 +130,7 @@ mod tests {
             assert!(
                 !system4_unsolvable(&t.topology, &s, &oracle, 1e-9),
                 "neutral slice {} flagged unsolvable",
-                s.tau
+                s.tau()
             );
         }
     }
@@ -153,7 +153,7 @@ mod tests {
         let (t, classes, _perf) = figure4_truth();
         let l1 = t.topology.link_by_name("l1").unwrap();
         let s = slice_for(&t.topology, &LinkSeq::single(l1)).unwrap();
-        let reduced = Slice::new(s.tau.clone(), vec![s.pairs[0]]);
+        let reduced = Slice::new(s.tau().clone(), vec![s.pairs()[0]]);
         assert!(!lemma3_condition(&reduced, &classes, 0));
     }
 

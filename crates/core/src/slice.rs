@@ -16,30 +16,85 @@
 //!
 //! `Θ_τ` is fully determined by the pairs, so a [`Slice`] holds no
 //! `PathSet`s: [`Slice::theta`] lends each pathset's member list out of the
-//! slice's own `paths` and pairs. Algorithm 2 (`nni-measure`'s
-//! `SlidingCounts`) and every [`Observations`](crate::Observations) source
-//! take those lists as they are, so a plan of ~100k pathsets is built,
-//! observed and dropped without a heap allocation per pathset.
+//! slice's paths and pairs. Algorithm 2 (`nni-measure`'s `SlidingCounts`)
+//! and every [`Observations`](crate::Observations) source take those lists
+//! as they are, so a plan of ~100k pathsets is built, observed and dropped
+//! without a heap allocation per pathset.
+//!
+//! The slices of one enumeration are flat, too: their pairs, pair rows and
+//! paths sit end to end in three arrays they share, and each slice holds
+//! its `τ` and two ranges into them. A plan of ~1k slices is then three
+//! arrays and ~1k link sequences.
 
 use crate::algorithm::PairEstimate;
 use nni_linalg::Matrix;
 use nni_topology::{LinkId, LinkSeq, PathId, Topology};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// The arrays the slices of one enumeration share, each slice's entries
+/// contiguous and in slice order.
+#[derive(Debug, Default)]
+struct SliceStore {
+    /// Every slice's pairs, each with its two members sorted.
+    pairs: Vec<[PathId; 2]>,
+    /// Each pair's two indices into its slice's paths, aligned with
+    /// `pairs`.
+    rows: Vec<[u32; 2]>,
+    /// Every slice's distinct participating paths, sorted within a slice.
+    paths: Vec<PathId>,
+}
+
+impl SliceStore {
+    /// Appends the paths and pair rows of the pairs at `pairs` (members
+    /// already distinct and sorted) and returns the range of those paths.
+    /// `bits` (a bitset over every path id, all zero and left all zero)
+    /// and `row_of` (an entry per path id) are scratch space that
+    /// [`slices_of`] reuses across its slices.
+    fn index(&mut self, pairs: Range<usize>, bits: &mut [u64], row_of: &mut [u32]) -> Range<usize> {
+        let pairs = &self.pairs[pairs];
+        // The participating paths as a bitset over path ids: the slice's
+        // paths are its set bits in order.
+        for p in pairs.iter().flatten() {
+            bits[p.index() / 64] |= 1 << (p.index() % 64);
+        }
+        let start = self.paths.len();
+        for (w, word) in bits.iter_mut().enumerate() {
+            for b in set_bits(std::mem::take(word)) {
+                row_of[w * 64 + b] = (self.paths.len() - start) as u32;
+                self.paths.push(PathId(w * 64 + b));
+            }
+        }
+        self.rows.extend(
+            pairs
+                .iter()
+                .map(|&[a, b]| [row_of[a.index()], row_of[b.index()]]),
+        );
+        start..self.paths.len()
+    }
+}
 
 /// The slice for one candidate link sequence `τ`.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Slice {
-    /// The candidate link sequence.
-    pub tau: LinkSeq,
-    /// Path pairs whose shared links are exactly `τ`, each with its two
-    /// members sorted.
-    pub pairs: Vec<[PathId; 2]>,
-    /// The distinct paths participating in pairs (sorted) — the logical
-    /// `δ_p` link index space.
-    pub paths: Vec<PathId>,
-    /// Each pair's two indices into `paths`, in `pairs` order.
-    rows: Vec<[u32; 2]>,
+    tau: LinkSeq,
+    store: Arc<SliceStore>,
+    /// This slice's entries of the store's `pairs` and `rows`.
+    pairs: Range<usize>,
+    /// This slice's entries of the store's `paths`.
+    paths: Range<usize>,
+}
+
+impl std::fmt::Debug for Slice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Slice")
+            .field("tau", &self.tau)
+            .field("pairs", &self.pairs())
+            .field("paths", &self.paths())
+            .finish()
+    }
 }
 
 impl Slice {
@@ -56,49 +111,52 @@ impl Slice {
             assert_ne!(pair[0], pair[1], "a pair needs two distinct paths");
             pair.sort();
         }
-        Slice::from_sorted_pairs(tau, pairs, &mut Vec::new())
-    }
-
-    /// [`Slice::new`] for non-empty pairs whose members are already
-    /// distinct and sorted. `row_of` is scratch space, path id -> row, that
-    /// [`enumerate_slices`] reuses across its slices.
-    fn from_sorted_pairs(tau: LinkSeq, pairs: Vec<[PathId; 2]>, row_of: &mut Vec<u32>) -> Slice {
-        // The participating paths as a bitset over path ids: `paths` is its
-        // set bits in order.
+        let n = pairs.len();
         let top = pairs.iter().map(|&[_, b]| b.index()).max().unwrap_or(0);
+        let mut store = SliceStore {
+            pairs,
+            ..SliceStore::default()
+        };
         let mut bits = vec![0u64; (top + 1).div_ceil(64)];
-        for p in pairs.iter().flatten() {
-            bits[p.index() / 64] |= 1 << (p.index() % 64);
-        }
-        let mut paths = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
-        for (w, &word) in bits.iter().enumerate() {
-            paths.extend(set_bits(word).map(|b| PathId(w * 64 + b)));
-        }
-        if row_of.len() <= top {
-            row_of.resize(top + 1, 0);
-        }
-        for (r, p) in paths.iter().enumerate() {
-            row_of[p.index()] = r as u32;
-        }
-        let rows = pairs
-            .iter()
-            .map(|&[a, b]| [row_of[a.index()], row_of[b.index()]])
-            .collect();
+        let paths = store.index(0..n, &mut bits, &mut vec![0; top + 1]);
         Slice {
             tau,
-            pairs,
+            store: Arc::new(store),
+            pairs: 0..n,
             paths,
-            rows,
         }
     }
 
-    /// `Θ_τ` as member lists: each path of `paths` as a singleton, then
-    /// each pair of `pairs`. This is the row order of
-    /// [`routing_matrix`](Slice::routing_matrix) and of every observation
-    /// vector `y`.
+    /// The candidate link sequence.
+    pub fn tau(&self) -> &LinkSeq {
+        &self.tau
+    }
+
+    /// Path pairs whose shared links are exactly `τ`, each with its two
+    /// members sorted.
+    pub fn pairs(&self) -> &[[PathId; 2]] {
+        &self.store.pairs[self.pairs.clone()]
+    }
+
+    /// The distinct paths participating in pairs (sorted) — the logical
+    /// `δ_p` link index space.
+    pub fn paths(&self) -> &[PathId] {
+        &self.store.paths[self.paths.clone()]
+    }
+
+    /// Each pair's two indices into [`paths`](Slice::paths), in
+    /// [`pairs`](Slice::pairs) order.
+    fn rows(&self) -> &[[u32; 2]] {
+        &self.store.rows[self.pairs.clone()]
+    }
+
+    /// `Θ_τ` as member lists: each path of [`paths`](Slice::paths) as a
+    /// singleton, then each pair of [`pairs`](Slice::pairs). This is the
+    /// row order of [`routing_matrix`](Slice::routing_matrix) and of every
+    /// observation vector `y`.
     pub fn theta(&self) -> impl Iterator<Item = &[PathId]> {
-        let singles = self.paths.iter().map(std::slice::from_ref);
-        singles.chain(self.pairs.iter().map(|pair| &pair[..]))
+        let singles = self.paths().iter().map(std::slice::from_ref);
+        singles.chain(self.pairs().iter().map(|pair| &pair[..]))
     }
 
     /// `|Θ_τ|` — Algorithm 1 keeps slices with at least 5 pathsets, which is
@@ -115,7 +173,8 @@ impl Slice {
     /// The routing matrix `A_τ(Θ_τ)` of the slice graph.
     ///
     /// Column 0 is the logical link `τ`; column `1 + i` is the logical link
-    /// `δ_{p}` for `self.paths[i]`. Row order matches [`theta`](Slice::theta).
+    /// `δ_{p}` for `self.paths()[i]`. Row order matches
+    /// [`theta`](Slice::theta).
     pub fn routing_matrix(&self) -> Matrix {
         let singles = self.paths.len();
         let mut a = Matrix::zeros(self.pathset_count(), 1 + singles);
@@ -125,7 +184,7 @@ impl Slice {
         for i in 0..singles {
             a[(i, 1 + i)] = 1.0;
         }
-        for (k, rows) in self.rows.iter().enumerate() {
+        for (k, rows) in self.rows().iter().enumerate() {
             for &r in rows {
                 a[(singles + k, 1 + r as usize)] = 1.0;
             }
@@ -153,7 +212,7 @@ impl Slice {
     pub(crate) fn estimates(&self, y: &[f64]) -> (Vec<PairEstimate>, f64, bool) {
         let (mut max, mut min, mut nan) = (f64::NEG_INFINITY, f64::INFINITY, false);
         let estimates = self
-            .pairs
+            .pairs()
             .iter()
             .zip(self.estimate_iter(y))
             .map(|(&[a, b], estimate)| {
@@ -169,7 +228,7 @@ impl Slice {
         (estimates, (max - min).max(0.0), nan)
     }
 
-    /// Each pair's `y_i + y_j − y_{ij}`, in `pairs` order.
+    /// Each pair's `y_i + y_j − y_{ij}`, in [`pairs`](Slice::pairs) order.
     fn estimate_iter<'a>(&'a self, y: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         assert_eq!(
             y.len(),
@@ -177,7 +236,7 @@ impl Slice {
             "observation vector misaligned"
         );
         let (singles, pairs) = y.split_at(self.paths.len());
-        self.rows
+        self.rows()
             .iter()
             .zip(pairs)
             .map(|(&[i, j], yij)| singles[i as usize] + singles[j as usize] - yij)
@@ -262,10 +321,12 @@ impl LinkPaths {
         &self.rows[l.index() * self.words..(l.index() + 1) * self.words]
     }
 
-    /// `Paths(τ)` as the AND of the rows of `τ`'s links: the
-    /// [`normalization_group`] of `tau`, without a search per link.
-    pub(crate) fn through_all(&self, tau: &LinkSeq) -> Vec<PathId> {
-        let mut all = vec![u64::MAX; self.words];
+    /// Appends `Paths(τ)`, the AND of the rows of `τ`'s links, to `out`:
+    /// the [`normalization_group`] of `tau`, without a search per link.
+    /// `all` is scratch space.
+    pub(crate) fn through_all(&self, tau: &LinkSeq, all: &mut Vec<u64>, out: &mut Vec<PathId>) {
+        all.clear();
+        all.resize(self.words, u64::MAX);
         if let Some(last) = all.last_mut() {
             *last >>= self.words * 64 - self.paths;
         }
@@ -274,11 +335,9 @@ impl LinkPaths {
                 *a &= r;
             }
         }
-        let mut out = Vec::with_capacity(all.iter().map(|w| w.count_ones() as usize).sum());
         for (w, &word) in all.iter().enumerate() {
             out.extend(set_bits(word).map(|b| PathId(w * 64 + b)));
         }
-        out
     }
 }
 
@@ -286,31 +345,45 @@ impl LinkPaths {
 /// by their shared link set (Algorithm 1, lines 2–8). Pairs sharing nothing
 /// are skipped. Slices are returned sorted by `τ` for determinism, each
 /// with its pairs in `(i, j)` enumeration order.
-///
-/// Each path's links are a bitset of `⌈L/64⌉` words, so a pair's shared
-/// links are the AND of two bitsets, and pairs group under those words.
-/// Each link's paths are a bitset too (`LinkPaths`): the OR of path `i`'s
-/// link rows, above bit `i`, is exactly the paths `j > i` that share a link
-/// with it, so pairs that share nothing are never visited.
 pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
+    slices_of(topology, &LinkPaths::new(topology), 1)
+}
+
+/// The slices of at least `min_pairs` pairs, as [`enumerate_slices`]
+/// orders them, over the link rows `on_link` of `topology`.
+///
+/// The OR of path `i`'s link rows, above bit `i`, is exactly the paths
+/// `j > i` that share a link with it (its partners), so pairs that share
+/// nothing are never visited. The partners are then split by their shared
+/// links with `i` a word at a time, not a pair at a time: starting from one
+/// class, each link `l` of `i` splits every class into the members on `l`
+/// and the rest, and marks `l` shared for the members on it. What is left
+/// is one class per distinct shared set, each a bitset of partners, and
+/// each looked up once by its shared-link mask of `⌈L/64⌉` words.
+/// The pairs are then placed by one counting sort: each kept group's pairs
+/// land at its offset in the `τ` order, in one array that every slice
+/// shares, with each class's partners in increasing order.
+pub(crate) fn slices_of(topology: &Topology, on_link: &LinkPaths, min_pairs: usize) -> Vec<Slice> {
     let paths = topology.paths();
     let words = topology.link_count().div_ceil(64);
-    let mut masks = vec![0u64; paths.len() * words];
-    for (mask, path) in masks.chunks_exact_mut(words).zip(paths) {
-        for l in path.links() {
-            mask[l.index() / 64] |= 1 << (l.index() % 64);
-        }
-    }
-    let on_link = LinkPaths::new(topology);
-    let mask = |i: usize| &masks[i * words..(i + 1) * words];
     let mut index: HashMap<Vec<u64>, u32, BuildHasherDefault<MaskHasher>> = HashMap::default();
-    // Every pair as (group, i, j) in enumeration order, and each group's
-    // pair count: the groups are then filled at their exact sizes.
-    let mut found: Vec<[u32; 3]> = Vec::new();
+    // Each group's pair count.
     let mut sizes: Vec<usize> = Vec::new();
-    let mut shared = vec![0u64; words];
+    // Path `i`'s partner words: the indices of the nonzero words of its
+    // partner bitset, `cols[col_starts[i]..col_starts[i + 1]]`.
+    let mut cols: Vec<u32> = Vec::new();
+    let mut col_starts: Vec<usize> = Vec::with_capacity(paths.len() + 1);
+    // One run per (path `i`, shared set): its group, `i`, its pair count,
+    // and its partners as `i`'s partner words, at `run_words[offset..]`.
+    let mut runs: Vec<[u32; 4]> = Vec::new();
+    let mut run_words: Vec<u64> = Vec::new();
+    // Scratch: the partner bitset, the classes (each `width` partner
+    // words), each class's shared-link mask (`words` each), and one link
+    // row's partner words.
     let mut partners = vec![0u64; on_link.words];
+    let (mut classes, mut shared, mut row) = (Vec::new(), Vec::new(), Vec::new());
     for (i, path) in paths.iter().enumerate() {
+        col_starts.push(cols.len());
         partners.fill(0);
         for &l in path.links() {
             for (p, r) in partners.iter_mut().zip(on_link.row(l)) {
@@ -320,51 +393,133 @@ pub fn enumerate_slices(topology: &Topology) -> Vec<Slice> {
         // Keep only `j > i`.
         partners[..i / 64].fill(0);
         partners[i / 64] &= (u64::MAX << (i % 64)) << 1;
-        for (w, &word) in partners.iter().enumerate() {
-            for bit in set_bits(word) {
-                let j = w * 64 + bit;
-                for ((s, a), b) in shared.iter_mut().zip(mask(i)).zip(mask(j)) {
-                    *s = a & b;
+        let first = cols.len();
+        cols.extend((0..on_link.words as u32).filter(|&w| partners[w as usize] != 0));
+        let cols_i = &cols[first..];
+        let width = cols_i.len();
+        if width == 0 {
+            continue;
+        }
+        classes.clear();
+        classes.extend(cols_i.iter().map(|&w| partners[w as usize]));
+        shared.clear();
+        shared.resize(words, 0);
+        for &l in path.links() {
+            row.clear();
+            row.extend(cols_i.iter().map(|&w| on_link.row(l)[w as usize]));
+            let (word, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
+            for c in 0..classes.len() / width {
+                let class = c * width..(c + 1) * width;
+                let (mut on, mut off) = (0, 0);
+                for (m, r) in classes[class.clone()].iter().zip(&row) {
+                    on |= m & r;
+                    off |= m & !r;
                 }
-                let g = match index.get(shared.as_slice()) {
-                    Some(&g) => g,
-                    None => {
-                        sizes.push(0);
-                        index.insert(shared.clone(), sizes.len() as u32 - 1);
-                        sizes.len() as u32 - 1
+                if on == 0 {
+                    continue;
+                }
+                let mut marked = c;
+                if off != 0 {
+                    // The members on `l` become a class of their own.
+                    marked = classes.len() / width;
+                    classes.extend_from_within(class.clone());
+                    for (k, r) in row.iter().enumerate() {
+                        classes[c * width + k] &= !r;
+                        classes[marked * width + k] &= r;
                     }
-                };
-                sizes[g as usize] += 1;
-                found.push([g, i as u32, j as u32]);
+                    shared.extend_from_within(c * words..(c + 1) * words);
+                }
+                shared[marked * words + word] |= bit;
             }
         }
+        for (class, mask) in classes.chunks_exact(width).zip(shared.chunks_exact(words)) {
+            let g = match index.get(mask) {
+                Some(&g) => g,
+                None => {
+                    sizes.push(0);
+                    index.insert(mask.to_vec(), sizes.len() as u32 - 1);
+                    sizes.len() as u32 - 1
+                }
+            };
+            let count: u32 = class.iter().map(|w| w.count_ones()).sum();
+            sizes[g as usize] += count as usize;
+            runs.push([g, i as u32, count, run_words.len() as u32]);
+            run_words.extend_from_slice(class);
+        }
     }
-    let mut groups: Vec<Vec<[PathId; 2]>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for &[g, i, j] in &found {
-        groups[g as usize].push([paths[i as usize].id(), paths[j as usize].id()]);
-    }
-    let mut row_of = Vec::new();
-    let mut slices: Vec<Slice> = index
+    col_starts.push(cols.len());
+    // The kept groups in `τ` order (every `τ` is distinct), each group's
+    // offset in that order, and the pairs placed at their offsets. A path's
+    // index is its id.
+    let mut kept: Vec<(LinkSeq, usize)> = index
         .into_iter()
+        .filter(|&(_, g)| sizes[g as usize] >= min_pairs)
         .map(|(shared, g)| {
             let links = shared
                 .iter()
                 .enumerate()
                 .flat_map(|(w, &word)| set_bits(word).map(move |b| LinkId(w * 64 + b)))
                 .collect();
-            let pairs = std::mem::take(&mut groups[g as usize]);
-            Slice::from_sorted_pairs(LinkSeq::new(links), pairs, &mut row_of)
+            (LinkSeq::new(links), g as usize)
         })
         .collect();
-    slices.sort_by(|a, b| a.tau.cmp(&b.tau));
-    slices
+    kept.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    const DROPPED: usize = usize::MAX;
+    let mut next = vec![DROPPED; sizes.len()];
+    let mut total = 0;
+    for &(_, g) in &kept {
+        next[g] = total;
+        total += sizes[g];
+    }
+    let mut store = SliceStore {
+        pairs: vec![[PathId(0); 2]; total],
+        rows: Vec::with_capacity(total),
+        paths: Vec::new(),
+    };
+    for &[g, i, count, offset] in &runs {
+        let at = next[g as usize];
+        if at == DROPPED {
+            continue;
+        }
+        let (i, count, offset) = (i as usize, count as usize, offset as usize);
+        let cols_i = &cols[col_starts[i]..col_starts[i + 1]];
+        let class = &run_words[offset..offset + cols_i.len()];
+        let mut out = store.pairs[at..at + count].iter_mut();
+        for (&w, &word) in cols_i.iter().zip(class) {
+            for (b, pair) in set_bits(word).zip(&mut out) {
+                *pair = [PathId(i), PathId(w as usize * 64 + b)];
+            }
+        }
+        next[g as usize] = at + count;
+    }
+    drop((runs, run_words));
+    let mut bits = vec![0u64; paths.len().div_ceil(64)];
+    let mut row_of = vec![0u32; paths.len()];
+    let mut spans = Vec::with_capacity(kept.len());
+    let mut lo = 0;
+    for &(_, g) in &kept {
+        let pairs = lo..lo + sizes[g];
+        lo = pairs.end;
+        let paths = store.index(pairs.clone(), &mut bits, &mut row_of);
+        spans.push((pairs, paths));
+    }
+    let store = Arc::new(store);
+    kept.into_iter()
+        .zip(spans)
+        .map(|((tau, _), (pairs, paths))| Slice {
+            tau,
+            store: Arc::clone(&store),
+            pairs,
+            paths,
+        })
+        .collect()
 }
 
 /// The slice for a specific `τ`, if any path pair shares exactly `τ`.
 pub fn slice_for(topology: &Topology, tau: &LinkSeq) -> Option<Slice> {
     enumerate_slices(topology)
         .into_iter()
-        .find(|s| &s.tau == tau)
+        .find(|s| s.tau() == tau)
 }
 
 /// `Paths(τ)` — the normalization group for Algorithm 2 (§6.2): every path
@@ -386,7 +541,7 @@ mod tests {
         let l1 = g.link_by_name("l1").unwrap();
         let l2 = g.link_by_name("l2").unwrap();
         let slices = enumerate_slices(g);
-        let taus: Vec<&LinkSeq> = slices.iter().map(|s| &s.tau).collect();
+        let taus: Vec<&LinkSeq> = slices.iter().map(|s| s.tau()).collect();
         assert_eq!(slices.len(), 2);
         assert!(taus.contains(&&LinkSeq::single(l1)));
         assert!(taus.contains(&&LinkSeq::new(vec![l1, l2])));
@@ -395,7 +550,7 @@ mod tests {
         // ⟨l1⟩ has the pairs {p1,p4}, {p2,p4}, {p3,p4} (paths 0-indexed).
         let s1 = slice_for(g, &LinkSeq::single(l1)).unwrap();
         assert_eq!(s1.pair_count(), 3);
-        assert!(s1.pairs.iter().all(|&[_, b]| b == PathId(3)));
+        assert!(s1.pairs().iter().all(|&[_, b]| b == PathId(3)));
         // Θ_⟨l1⟩ = 4 singletons + 3 pairs = 7 pathsets (§4.1).
         assert_eq!(s1.pathset_count(), 7);
 
@@ -440,12 +595,12 @@ mod tests {
         let x_tau = 0.2;
         let deltas = [0.1, 0.3, 0.05];
         let mut y = Vec::new();
-        for (i, _) in s.paths.iter().enumerate() {
+        for (i, _) in s.paths().iter().enumerate() {
             y.push(x_tau + deltas[i]);
         }
-        for &[a, b] in &s.pairs {
-            let ia = s.paths.binary_search(&a).unwrap();
-            let ib = s.paths.binary_search(&b).unwrap();
+        for &[a, b] in s.pairs() {
+            let ia = s.paths().binary_search(&a).unwrap();
+            let ib = s.paths().binary_search(&b).unwrap();
             y.push(x_tau + deltas[ia] + deltas[ib]);
         }
         let est = s.pair_estimates(&y);
@@ -494,7 +649,7 @@ mod tests {
         // Every policer participates in at least one analyzable slice.
         for &pol in &t.nonneutral_links {
             assert!(
-                analyzable.iter().any(|s| s.tau.contains(pol)),
+                analyzable.iter().any(|s| s.tau().contains(pol)),
                 "policer {pol} not covered"
             );
         }
@@ -505,8 +660,8 @@ mod tests {
         let t = topology_b();
         let a = enumerate_slices(&t.topology);
         let b = enumerate_slices(&t.topology);
-        let taus_a: Vec<&LinkSeq> = a.iter().map(|s| &s.tau).collect();
-        let taus_b: Vec<&LinkSeq> = b.iter().map(|s| &s.tau).collect();
+        let taus_a: Vec<&LinkSeq> = a.iter().map(|s| s.tau()).collect();
+        let taus_b: Vec<&LinkSeq> = b.iter().map(|s| s.tau()).collect();
         assert_eq!(taus_a, taus_b);
         let mut sorted = taus_a.clone();
         sorted.sort();

@@ -62,9 +62,9 @@ fn identify_scores_reference(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) 
             DecisionMode::Clustered { .. } => false,
         };
         verdicts.push(SliceVerdict {
-            tau: s.tau.clone(),
+            tau: s.tau().clone(),
             estimates: s
-                .pairs
+                .pairs()
                 .iter()
                 .zip(pair_estimates)
                 .map(|(&[a, b], estimate)| PairEstimate {
@@ -203,11 +203,11 @@ proptest! {
                 let hosting: Vec<_> = slices
                     .iter()
                     .filter(|s| {
-                        s.pairs.contains(&[paths[i].id(), paths[j].id()])
+                        s.pairs().contains(&[paths[i].id(), paths[j].id()])
                     })
                     .collect();
                 prop_assert_eq!(hosting.len(), 1, "pair must be in exactly one slice");
-                prop_assert_eq!(&hosting[0].tau, &shared);
+                prop_assert_eq!(hosting[0].tau(), &shared);
             }
         }
         let total: usize = slices.iter().map(|s| s.pair_count()).sum();

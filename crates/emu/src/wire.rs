@@ -128,16 +128,17 @@ pub fn decode_report(bytes: &[u8]) -> Result<SimReport, CodecError> {
     if 2 * n_paths as u128 * n_intervals as u128 > r.remaining() as u128 {
         return Err(CodecError::BadValue("log dimensions exceed payload"));
     }
+    let mut row = || {
+        (0..n_paths)
+            .map(|_| r.vu())
+            .collect::<Result<Vec<u64>, _>>()
+    };
+    let sent = (0..n_intervals)
+        .map(|_| row())
+        .collect::<Result<Vec<_>, _>>()?;
     let mut log = MeasurementLog::new(n_paths, interval_s);
-    for t in 0..n_intervals {
-        for p in 0..n_paths {
-            log.record_sent(t, PathId(p), r.vu()?);
-        }
-    }
-    for t in 0..n_intervals {
-        for p in 0..n_paths {
-            log.record_lost(t, PathId(p), r.vu()?);
-        }
+    for sent in sent {
+        log.push_interval(sent, row()?);
     }
     match r.u8()? {
         0 => {}

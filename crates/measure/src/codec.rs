@@ -322,16 +322,23 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
         return Err(CodecError::BadValue("log path count != topology paths"));
     }
     let n_intervals = r.len()?;
+    // Every cell is two varints of at least one byte each, so a garbled
+    // interval count whose grid exceeds the remaining bytes can never
+    // decode: reject it before allocating rows for it.
+    if 2 * n_paths as u128 * n_intervals as u128 > r.remaining() as u128 {
+        return Err(CodecError::BadValue("log dimensions exceed payload"));
+    }
     let mut log = MeasurementLog::new(n_paths, interval_s);
-    for t in 0..n_intervals {
-        for p in 0..n_paths {
-            let sent = r.vu()?;
-            let lost = r.vu()?;
-            // Zero-count records still materialize the interval, so
-            // trailing all-idle intervals survive the round trip.
-            log.record_sent(t, PathId(p), sent);
-            log.record_lost(t, PathId(p), lost);
+    for _ in 0..n_intervals {
+        // An all-zero row is still an interval, so trailing all-idle
+        // intervals survive the round trip.
+        let mut sent = Vec::with_capacity(n_paths);
+        let mut lost = Vec::with_capacity(n_paths);
+        for _ in 0..n_paths {
+            sent.push(r.vu()?);
+            lost.push(r.vu()?);
         }
+        log.push_interval(sent, lost);
     }
 
     // DELAY (v2 only): the grid's dimensions are the LOG section's.
@@ -599,6 +606,94 @@ mod tests {
         assert_eq!(
             err,
             CodecError::BadValue("log path count != topology paths")
+        );
+    }
+
+    /// A v1 stream of `sample()`'s provenance and classes around the given
+    /// TOPOLOGY and LOG payloads, checksummed as [`encode`] checksums.
+    fn restream(
+        topology: impl FnOnce(&mut WireWriter),
+        log: impl FnOnce(&mut WireWriter),
+    ) -> Vec<u8> {
+        let set = sample();
+        let bytes = encode(&set);
+        let (_, after_provenance) = decode_prefix(&bytes).unwrap();
+        let mut w = WireWriter::new();
+        w.raw(&bytes[..after_provenance]);
+        section(&mut w, TAG_TOPOLOGY, topology);
+        section(&mut w, TAG_CLASSES, |w| put_classes(w, &set.classes));
+        section(&mut w, TAG_LOG, log);
+        w.u8(TAG_END);
+        let mut h = Fnv::new();
+        h.bytes(w.bytes());
+        let checksum = h.0;
+        w.u64(checksum);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn rejects_an_interval_count_beyond_the_payload() {
+        // `sample()`'s four one-path intervals under a count of twenty.
+        // They and the trailer leave 27 bytes, so the count passes the
+        // length check (no more than the bytes left), but twenty cells of
+        // two varints need at least forty: the decoder refuses before
+        // sizing the grid.
+        let set = sample();
+        let log = |w: &mut WireWriter| {
+            w.f64(set.log.interval_s());
+            w.vu(1);
+            w.vu(20);
+            put_rows(w, &set.log, 0..set.log.interval_count());
+        };
+        let bytes = restream(|w| put_topology(w, &set.topology), log);
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            CodecError::BadValue("log dimensions exceed payload")
+        );
+        // The same stream with its true count decodes.
+        let log = |w: &mut WireWriter| {
+            w.f64(set.log.interval_s());
+            w.vu(1);
+            w.vu(set.log.interval_count() as u64);
+            put_rows(w, &set.log, 0..set.log.interval_count());
+        };
+        let bytes = restream(|w| put_topology(w, &set.topology), log);
+        assert_eq!(decode(&bytes).unwrap(), set);
+    }
+
+    #[test]
+    fn rejects_a_looping_path() {
+        // h0 -> r1 -> h0: connected, host-ended, and back at its source.
+        let topology = |w: &mut WireWriter| {
+            w.vu(2);
+            for (kind, name) in [(0, "h0"), (1, "r1")] {
+                w.u8(kind);
+                w.str(name);
+            }
+            w.vu(2);
+            for (src, dst, name) in [(0, 1, "l0"), (1, 0, "l1")] {
+                w.vu(src);
+                w.vu(dst);
+                w.f64(1e9);
+                w.f64(0.005);
+                w.str(name);
+            }
+            w.vu(1);
+            w.str("p0");
+            w.vu(2);
+            w.vu(0);
+            w.vu(1);
+        };
+        let set = sample();
+        let log = |w: &mut WireWriter| {
+            w.f64(set.log.interval_s());
+            w.vu(1);
+            w.vu(set.log.interval_count() as u64);
+            put_rows(w, &set.log, 0..set.log.interval_count());
+        };
+        assert_eq!(
+            decode(&restream(topology, log)).unwrap_err(),
+            CodecError::Topology(TopologyError::PathHasLoop(NodeId(0)))
         );
     }
 

@@ -110,6 +110,25 @@ impl MeasurementLog {
         }
     }
 
+    /// Appends one whole interval, `interval_count()`, from its per-path
+    /// `sent` and `lost` rows. A log carrying a delay grid gains an empty
+    /// delay row with it. This is how decoders and appenders add intervals;
+    /// per-packet recorders use [`record_sent`](MeasurementLog::record_sent)
+    /// and [`record_lost`](MeasurementLog::record_lost).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row's width is not the log's path count.
+    pub fn push_interval(&mut self, sent: Vec<u64>, lost: Vec<u64>) {
+        assert_eq!(sent.len(), self.n_paths, "sent row width != path count");
+        assert_eq!(lost.len(), self.n_paths, "lost row width != path count");
+        self.sent.push(sent);
+        self.lost.push(lost);
+        if let Some(delay) = &mut self.delay {
+            delay.push(vec![None; self.n_paths]);
+        }
+    }
+
     /// Records `n` packets sent on `path` during interval `t`.
     pub fn record_sent(&mut self, t: usize, path: PathId, n: u64) {
         self.ensure(t);

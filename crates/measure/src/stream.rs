@@ -29,7 +29,8 @@
 //! at the set bits, and a chunk whose word is zero leaves the group's
 //! pathsets untouched.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::normalize::{count_evals, indicator_column, perf_from_counts, NormalizeConfig};
@@ -103,9 +104,15 @@ impl StreamingLog {
     }
 
     /// Appends one already-closed interval: `sent[p]` / `lost[p]` per path.
-    /// The row lands immediately below the watermark; any open records in
-    /// that interval slot must not exist (the slot is created by the
-    /// append). Returns the interval index.
+    /// The row lands at the watermark and moves it up by one. Returns the
+    /// interval index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the log holds open intervals (a
+    /// [`from_log`](StreamingLog::from_log) stream not yet
+    /// [`close_all`](StreamingLog::close_all)ed): the appended row would
+    /// not land at the watermark.
     pub fn append_interval(&mut self, sent: &[u64], lost: &[u64]) -> Result<usize, StreamError> {
         let n = self.log.path_count();
         if sent.len() != n || lost.len() != n {
@@ -119,18 +126,12 @@ impl StreamingLog {
             });
         }
         let t = self.closed;
-        for (p, (&s, &l)) in sent.iter().zip(lost).enumerate() {
-            if s > 0 {
-                self.log.record_sent(t, PathId(p), s);
-            }
-            if l > 0 {
-                self.log.record_lost(t, PathId(p), l);
-            }
-        }
-        // An all-zero row must still materialize the interval slot.
-        if self.log.interval_count() <= t {
-            self.log.record_sent(t, PathId(0), 0);
-        }
+        assert_eq!(
+            self.log.interval_count(),
+            t,
+            "append_interval needs every recorded interval closed"
+        );
+        self.log.push_interval(sent.to_vec(), lost.to_vec());
         self.closed = t + 1;
         Ok(t)
     }
@@ -143,18 +144,30 @@ impl StreamingLog {
 
 #[derive(Debug, Clone)]
 struct SetState {
-    /// This pathset's member rows: `lo..hi` of the group's `members`.
-    lo: u32,
-    hi: u32,
+    /// This pathset's member rows into its group's `paths`. One or two
+    /// members sit here (a singleton as its row twice, since `w & w = w`);
+    /// a longer pathset holds `[lo | SPILL, hi]`, its rows being `lo..hi`
+    /// of the group's `spill`.
+    rows: [u32; 2],
     /// Congestion-free intervals counted (at most the consumed intervals:
     /// 2^32 of them are 13 years at 100 ms).
     cf: u32,
 }
 
+/// Marks a [`SetState`] whose rows live in its group's `spill`.
+const SPILL: u32 = 1 << 31;
+
 impl SetState {
-    /// This pathset's member rows out of its group's `members`.
-    fn rows<'a>(&self, members: &'a [u32]) -> &'a [u32] {
-        &members[self.lo as usize..self.hi as usize]
+    /// The intervals of a `len`-interval chunk in which every member row
+    /// of this pathset is set in `words`: the popcount of their AND.
+    fn and_count(&self, words: &[u64], spill: &[u32], len: usize) -> u32 {
+        let all = match self.rows {
+            [lo, hi] if lo & SPILL != 0 => spill[(lo & !SPILL) as usize..hi as usize]
+                .iter()
+                .fold(u64::MAX, |acc, &r| acc & words[r as usize]),
+            [a, b] => words[a as usize] & words[b as usize],
+        };
+        ones(all, len) as u32
     }
 }
 
@@ -166,8 +179,9 @@ struct GroupState {
     /// Each group path's row in the engine's `paths`: the activity word
     /// it reads.
     active: Vec<u32>,
-    /// Every pathset's member rows into `paths`, concatenated.
-    members: Vec<u32>,
+    /// The member rows of every pathset of three or more members,
+    /// concatenated.
+    spill: Vec<u32>,
     sets: Vec<SetState>,
     /// Informative intervals counted: the same for every pathset of the
     /// group, because informativeness is a property of the whole column.
@@ -203,8 +217,11 @@ struct GroupState {
 /// intervals of those words in a `W`-bit ring per group path (plus one per
 /// group for informativeness).
 ///
-/// The per-pathset state is 12 bytes: member bounds and the congestion-free
-/// count as `u32`s.
+/// The per-pathset state is 12 bytes: two member rows and the
+/// congestion-free count as `u32`s. A pathset of one or two members (every
+/// pathset of a slice's `Θ_τ`) needs nothing else; a longer one keeps its
+/// rows in a per-group spill list and the bounds of that run in place of
+/// the two rows.
 #[derive(Debug, Clone)]
 pub struct SlidingCounts {
     cfg: NormalizeConfig,
@@ -246,21 +263,32 @@ impl SlidingCounts {
         assert_ne!(window, Some(0), "window must be non-empty");
         let row_words = window.map_or(0, |w| w.div_ceil(64));
         let slices = slices.into_iter();
-        let mut index: HashMap<Vec<PathId>, usize> = HashMap::new();
+        // Each distinct group, keyed by its sorted, deduplicated paths: a
+        // group that arrives sorted and distinct (every plan group does) is
+        // its own key, borrowed, with no copy to sort. An ordered map needs
+        // no hash of the paths, so no topology can make keys collide.
+        let mut index: BTreeMap<Cow<'a, [PathId]>, usize> = BTreeMap::new();
         let mut groups: Vec<GroupState> = Vec::new();
         let mut layout = Vec::with_capacity(slices.size_hint().0);
         // Path id -> row in the group being registered, `NO_ROW` elsewhere:
         // filled from the group's paths before its pathsets, cleared after.
         let mut row_of: Vec<u32> = Vec::new();
         for (group, pathsets) in slices {
-            let mut paths = group.to_vec();
-            paths.sort();
-            paths.dedup();
-            let gid = *index.entry(paths).or_insert_with_key(|paths| {
+            let key = if group.windows(2).all(|w| w[0] < w[1]) {
+                Cow::Borrowed(group)
+            } else {
+                let mut paths = group.to_vec();
+                paths.sort_unstable();
+                paths.dedup();
+                Cow::Owned(paths)
+            };
+            let gid = *index.entry(key).or_insert_with_key(|paths| {
+                // A row at or above `SPILL` would read as a spill bound.
+                assert!(paths.len() <= SPILL as usize, "under 2^31 paths per group");
                 groups.push(GroupState {
-                    paths: paths.clone(),
+                    paths: paths.to_vec(),
                     active: Vec::new(),
-                    members: Vec::new(),
+                    spill: Vec::new(),
                     sets: Vec::new(),
                     informative: 0,
                     ring: vec![0; (paths.len() + 1) * row_words],
@@ -277,25 +305,28 @@ impl SlidingCounts {
             let pathsets = pathsets.into_iter();
             let start = g.sets.len();
             g.sets.reserve(pathsets.size_hint().0);
-            g.members.reserve(pathsets.size_hint().0);
-            for pathset in pathsets {
-                let pathset = pathset.as_ref();
-                assert!(!pathset.is_empty(), "pathsets are non-empty");
-                let lo = g.members.len();
-                g.members.extend(pathset.iter().map(|p| {
-                    row_of
-                        .get(p.index())
-                        .copied()
-                        .filter(|&r| r != NO_ROW)
-                        .expect("pathset members must belong to the normalization group")
-                }));
-                let hi = u32::try_from(g.members.len()).expect("under 2^32 members per group");
-                g.sets.push(SetState {
-                    lo: lo as u32,
-                    hi,
-                    cf: 0,
-                });
-            }
+            let (spill, sets) = (&mut g.spill, &mut g.sets);
+            let row = |p: &PathId| match row_of.get(p.index()) {
+                Some(&r) if r != NO_ROW => r,
+                _ => panic!("pathset members must belong to the normalization group"),
+            };
+            pathsets.for_each(|pathset| {
+                let rows = match pathset.as_ref() {
+                    [] => panic!("pathsets are non-empty"),
+                    [p] => [row(p); 2],
+                    [p, q] => [row(p), row(q)],
+                    longer => {
+                        let lo = spill.len();
+                        spill.extend(longer.iter().map(row));
+                        let hi = u32::try_from(spill.len())
+                            .ok()
+                            .filter(|&hi| hi < SPILL)
+                            .expect("under 2^31 spilled members per group");
+                        [lo as u32 | SPILL, hi]
+                    }
+                };
+                sets.push(SetState { rows, cf: 0 });
+            });
             for p in &g.paths {
                 row_of[p.index()] = NO_ROW;
             }
@@ -427,7 +458,7 @@ impl SlidingCounts {
                         }
                     }
                     for s in &mut g.sets {
-                        s.cf += and_count(words, s.rows(&g.members), len);
+                        s.cf += s.and_count(words, &g.spill, len);
                     }
                     g.informative += ones(informative, len);
                 }
@@ -453,7 +484,7 @@ impl SlidingCounts {
                     if t >= w && evicted != 0 {
                         g.informative -= ones(evicted, len);
                         for s in &mut g.sets {
-                            s.cf -= and_count(words, s.rows(&g.members), len);
+                            s.cf -= s.and_count(words, &g.spill, len);
                         }
                     }
                 }
@@ -492,15 +523,6 @@ impl SlidingCounts {
             }
         }
     }
-}
-
-/// The intervals of a `len`-interval chunk in which every member row of a
-/// pathset is set: the popcount of the members' ANDed words.
-fn and_count(words: &[u64], rows: &[u32], len: usize) -> u32 {
-    let all = rows
-        .iter()
-        .fold(u64::MAX, |acc, &r| acc & words[r as usize]);
-    ones(all, len) as u32
 }
 
 /// The set bits of `w`, a word of a `len`-interval chunk (bits `len..`

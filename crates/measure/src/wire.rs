@@ -226,8 +226,22 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a LEB128 varint.
+    /// Reads a LEB128 varint. A one-byte varint, the common case for
+    /// measurement counts, takes one bounds check.
+    #[inline]
     pub fn vu(&mut self) -> Result<u64, CodecError> {
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte & 0x80 == 0 => {
+                self.pos += 1;
+                Ok(byte as u64)
+            }
+            _ => self.vu_long(),
+        }
+    }
+
+    /// [`vu`](WireReader::vu) for a varint of two or more bytes, or at the
+    /// end of input.
+    fn vu_long(&mut self) -> Result<u64, CodecError> {
         let mut out: u64 = 0;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;

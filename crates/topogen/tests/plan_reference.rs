@@ -63,6 +63,62 @@ fn reference_group(topology: &Topology, tau: &LinkSeq) -> Vec<PathId> {
         .collect()
 }
 
+/// Checks the slices of `topology`, and its plans at `min_pairs` 1 and 2,
+/// against the reference.
+fn plan_matches_the_pairwise_reference(topology: &Topology, seed: u64) {
+    let reference = reference_slices(topology);
+
+    let slices = enumerate_slices(topology);
+    assert_eq!(slices.len(), reference.len(), "seed {seed}");
+    for (slice, (tau, pairs)) in slices.iter().zip(&reference) {
+        assert_eq!(slice.tau(), tau, "τ order, seed {seed}");
+        assert_eq!(slice.pairs(), pairs, "pair order of {tau:?}, seed {seed}");
+    }
+
+    for min_pairs in [1, 2] {
+        let cfg = Config {
+            min_pairs,
+            ..Config::clustered()
+        };
+        plan_matches(topology, &reference, &cfg, seed);
+    }
+}
+
+/// Checks the plan under `cfg` against the reference slices.
+fn plan_matches(
+    topology: &Topology,
+    reference: &BTreeMap<LinkSeq, Vec<[PathId; 2]>>,
+    cfg: &Config,
+    seed: u64,
+) {
+    let plan = IdentifyPlan::new(topology, cfg);
+    let kept: Vec<_> = reference
+        .iter()
+        .filter(|(_, pairs)| pairs.len() >= cfg.min_pairs)
+        .collect();
+    assert_eq!(plan.slices().len(), kept.len(), "seed {seed}");
+    for (i, (slice, (tau, pairs))) in plan.slices().iter().zip(kept).enumerate() {
+        let want = Slice::new(tau.clone(), pairs.clone());
+        assert_eq!(slice.tau(), want.tau(), "seed {seed}");
+        assert_eq!(slice.pairs(), want.pairs(), "seed {seed}");
+        assert_eq!(slice.paths(), want.paths(), "seed {seed}");
+        let (paths, theta) = reference_theta(pairs);
+        assert_eq!(slice.paths(), paths, "seed {seed}");
+        assert_eq!(slice.pathset_count(), theta.len(), "seed {seed}");
+        assert_eq!(slice.theta().count(), theta.len(), "seed {seed}");
+        for (k, (got, want)) in slice.theta().zip(&theta).enumerate() {
+            assert_eq!(got, want.paths(), "Θ row {k} of {tau:?}, seed {seed}");
+        }
+        let y: Vec<f64> = (0..theta.len()).map(|k| (k as f64 + 2.0).ln()).collect();
+        assert_eq!(
+            slice.pair_estimates(&y),
+            reference_estimates(&paths, pairs, &y),
+            "seed {seed}"
+        );
+        assert_eq!(plan.group(i), reference_group(topology, tau), "seed {seed}");
+    }
+}
+
 #[test]
 fn isp_plan_matches_the_pairwise_reference() {
     let params = IspParams::isp_200link();
@@ -70,45 +126,18 @@ fn isp_plan_matches_the_pairwise_reference() {
         let topology = generate(&params, seed).topology;
         assert_eq!(topology.link_count(), 240, "four mask words");
         assert_eq!(topology.path_count(), 1056);
-        let reference = reference_slices(&topology);
+        plan_matches_the_pairwise_reference(&topology, seed);
+    }
+}
 
-        let slices = enumerate_slices(&topology);
-        assert_eq!(slices.len(), reference.len(), "seed {seed}");
-        for (slice, (tau, pairs)) in slices.iter().zip(&reference) {
-            assert_eq!(&slice.tau, tau, "τ order, seed {seed}");
-            assert_eq!(&slice.pairs, pairs, "pair order of {tau:?}, seed {seed}");
-        }
-
-        let cfg = Config::clustered();
-        let plan = IdentifyPlan::new(&topology, &cfg);
-        let kept: Vec<_> = reference
-            .iter()
-            .filter(|(_, pairs)| pairs.len() >= cfg.min_pairs)
-            .collect();
-        assert_eq!(plan.slices().len(), kept.len(), "seed {seed}");
-        for (i, (slice, (tau, pairs))) in plan.slices().iter().zip(kept).enumerate() {
-            let want = Slice::new(tau.clone(), pairs.clone());
-            assert_eq!(slice.tau, want.tau, "seed {seed}");
-            assert_eq!(slice.pairs, want.pairs, "seed {seed}");
-            assert_eq!(slice.paths, want.paths, "seed {seed}");
-            let (paths, theta) = reference_theta(pairs);
-            assert_eq!(slice.paths, paths, "seed {seed}");
-            assert_eq!(slice.pathset_count(), theta.len(), "seed {seed}");
-            assert_eq!(slice.theta().count(), theta.len(), "seed {seed}");
-            for (k, (got, want)) in slice.theta().zip(&theta).enumerate() {
-                assert_eq!(got, want.paths(), "Θ row {k} of {tau:?}, seed {seed}");
-            }
-            let y: Vec<f64> = (0..theta.len()).map(|k| (k as f64 + 2.0).ln()).collect();
-            assert_eq!(
-                slice.pair_estimates(&y),
-                reference_estimates(&paths, pairs, &y),
-                "seed {seed}"
-            );
-            assert_eq!(
-                plan.group(i),
-                reference_group(&topology, tau),
-                "seed {seed}"
-            );
-        }
+/// The smallest generated hierarchy: one mask word and six paths, whose
+/// slices all hold a single pair, so only the `min_pairs` 1 plan keeps any.
+#[test]
+fn small_isp_plan_matches_the_pairwise_reference() {
+    for seed in [1, 2, 7] {
+        let topology = generate(&IspParams::small(), seed).topology;
+        assert_eq!(topology.link_count(), 24, "one mask word");
+        assert_eq!(topology.path_count(), 6);
+        plan_matches_the_pairwise_reference(&topology, seed);
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::ids::{LinkId, NodeId, PathId};
 use crate::path::Path;
-use std::collections::HashSet;
 
 /// Kind of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,6 +188,10 @@ pub struct TopologyBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
     paths: Vec<Path>,
+    /// Per node, the number of the last loop check that visited it.
+    visited: Vec<u64>,
+    /// Loop checks run so far.
+    checks: u64,
 }
 
 /// Default capacity for links whose capacity is not specified: 1 Gb/s, i.e.
@@ -269,13 +272,17 @@ impl TopologyBuilder {
                 return Err(TopologyError::DisconnectedPath { position: i });
             }
         }
-        // Loop-freedom: the visited node sequence must not repeat.
-        let mut seen = HashSet::new();
+        // Loop-freedom: the visited node sequence must not repeat. This
+        // check stamps each node it visits with its own number, so a node
+        // already carrying it is a repeat.
+        self.checks += 1;
+        let check = self.checks;
+        self.visited.resize(self.nodes.len(), 0);
         let first_src = self.links[links[0].index()].src;
-        seen.insert(first_src);
+        self.visited[first_src.index()] = check;
         for &l in &links {
             let dst = self.links[l.index()].dst;
-            if !seen.insert(dst) {
+            if std::mem::replace(&mut self.visited[dst.index()], check) == check {
                 return Err(TopologyError::PathHasLoop(dst));
             }
         }
@@ -362,6 +369,43 @@ mod tests {
         let l2 = b.link("l2", r2, r1).unwrap();
         let err = b.path("p", vec![l0, l1, l2]).unwrap_err();
         assert!(matches!(err, TopologyError::PathHasLoop(_)));
+    }
+
+    #[test]
+    fn loop_back_to_the_source_rejected() {
+        let mut b = TopologyBuilder::new();
+        let h0 = b.host("h0");
+        let r1 = b.relay("r1");
+        let l0 = b.link("l0", h0, r1).unwrap();
+        let l1 = b.link("l1", r1, h0).unwrap();
+        assert_eq!(
+            b.path("p", vec![l0, l1]).unwrap_err(),
+            TopologyError::PathHasLoop(h0)
+        );
+    }
+
+    #[test]
+    fn loop_on_a_long_path_rejected() {
+        // h0 -> r0 -> ... -> r69 -> r30: 71 links, the first repeat at r30.
+        let mut b = TopologyBuilder::new();
+        let h0 = b.host("h0");
+        let relays: Vec<NodeId> = (0..70).map(|i| b.relay(&format!("r{i}"))).collect();
+        let mut links = vec![b.link("in", h0, relays[0]).unwrap()];
+        for w in relays.windows(2) {
+            links.push(b.link("hop", w[0], w[1]).unwrap());
+        }
+        links.push(b.link("back", relays[69], relays[30]).unwrap());
+        assert_eq!(links.len(), 71);
+        assert_eq!(
+            b.path("p", links.clone()).unwrap_err(),
+            TopologyError::PathHasLoop(relays[30])
+        );
+        // A failed check leaves nothing behind: the loop-free prefix, ended
+        // at a host, is accepted afterwards.
+        let h1 = b.host("h1");
+        links.pop();
+        links.push(b.link("out", relays[69], h1).unwrap());
+        assert!(b.path("p", links).is_ok());
     }
 
     #[test]

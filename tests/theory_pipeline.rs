@@ -52,8 +52,8 @@ fn full_pipeline_on_figure4_matches_section5() {
 
     // Lemma 3's hypotheses hold for ⟨l1⟩.
     let s = slice_for(g, &LinkSeq::single(l1)).unwrap();
-    let top = seq_top_class(&perf, &s.tau);
-    assert!(seq_nonneutral(&perf, &s.tau));
+    let top = seq_top_class(&perf, s.tau());
+    assert!(seq_nonneutral(&perf, s.tau()));
     assert!(lemma3_condition(&s, &classes, top));
 
     // Lemma 3 ⇒ System 4 unsolvable.
