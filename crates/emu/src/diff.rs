@@ -119,9 +119,7 @@ impl DiffRuntime {
                     .map(|l| LaneRuntime {
                         class: l.class,
                         bucket: TokenBucket::new(l.rate_bps, l.burst_bytes),
-                        // Pre-size to the lane buffer's full-MSS packet
-                        // count so a saturated lane never reallocates.
-                        queue: VecDeque::with_capacity((l.buffer_bytes / 1500 + 2) as usize),
+                        queue: VecDeque::new(),
                         queued_bytes: 0,
                         buffer_bytes: l.buffer_bytes,
                         release_pending: false,

@@ -47,6 +47,22 @@
 //! Each link also caches its full-MSS serialization time: every data
 //! segment is MSS-sized, so transmissions skip the float divide.
 //!
+//! Per-run state follows what the run holds, not what its configuration
+//! allows:
+//!
+//! * **Occupancy-grown queues** — link queues and shaper lanes start empty
+//!   and grow with the deepest backlog they reach, reallocating at most
+//!   about log2(peak occupancy) times per run. They are not sized to their
+//!   drop-tail capacity: the FIFO head sweeps the whole ring, so every page
+//!   of such a ring becomes resident however little the link queues.
+//! * **Freed flow windows** — a flow that completes drops its send-time
+//!   ring and out-of-order bitmap. A done flow ignores ACKs and timers, and
+//!   everything still in flight to its receiver lies below `rcv_nxt`, so
+//!   neither window is read again.
+//! * **Flat ground truth** — [`LinkTruth`] keeps one
+//!   `[interval][link][class]` grid per counter, which grows only when a
+//!   new interval opens.
+//!
 //! End-of-run invariant: after the event loop drains, every slab handle has
 //! been freed (`live() == 0`) — leaked or double-freed handles panic.
 
@@ -218,12 +234,7 @@ impl Simulator {
                     mss_tx: tx_time(cfg.mss as u64, p.rate_bps),
                     delay: SimTime::from_secs_f64(p.delay_s),
                     qcap_bytes,
-                    // Pre-size to the drop-tail capacity: the queue can
-                    // never hold more than this many full-MSS packets, so
-                    // it never reallocates mid-run.
-                    queue: std::collections::VecDeque::with_capacity(
-                        (qcap_bytes / cfg.mss.max(1) as u64 + 2) as usize,
-                    ),
+                    queue: std::collections::VecDeque::new(),
                     qbytes: 0,
                     busy: false,
                     diff: DiffRuntime::new(&p.diff),
@@ -729,7 +740,13 @@ impl Simulator {
         };
         if done {
             let flow = &mut self.flows[f.index()];
-            flow.done = true; // pending timers now fire as no-ops
+            // Pending timers now fire as no-ops, and nothing reads the
+            // windows again: a done flow ignores ACKs, and every segment
+            // still in flight lies below `rcv_nxt`, which the receiver only
+            // acknowledges.
+            flow.done = true;
+            flow.send_times = SendTimes::new();
+            flow.ooo = OooWindow::new();
             self.completed_flows += 1;
             if let Some(slot) = flow.slot {
                 let (_, profile) = &self.sources[self.slots[slot].source];

@@ -9,13 +9,22 @@ use nni_topology::LinkId;
 /// Ground-truth per-link, per-class, per-interval packet accounting —
 /// "directly measured by the network; our algorithm does not use them in any
 /// way" (§6.4).
+///
+/// Each counter is one flat `[interval][link][class]` grid: cell
+/// `(t, link, class)` sits at `(t * n_links + link) * n_classes + class`,
+/// and recording into a new interval grows both grids by whole intervals.
+/// Every accessor asserts `link < n_links` and `class < n_classes`, and
+/// one that reads a single interval also `t < interval_count()`, so an
+/// out-of-range index panics instead of reading a neighbouring cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkTruth {
     n_links: usize,
     n_classes: usize,
-    /// `offered[interval][link][class]`, `dropped[interval][link][class]`.
-    offered: Vec<Vec<Vec<u64>>>,
-    dropped: Vec<Vec<Vec<u64>>>,
+    n_intervals: usize,
+    /// `offered` and `dropped`, `n_intervals * n_links * n_classes` cells
+    /// each.
+    offered: Vec<u64>,
+    dropped: Vec<u64>,
 }
 
 impl LinkTruth {
@@ -24,62 +33,102 @@ impl LinkTruth {
         LinkTruth {
             n_links,
             n_classes,
+            n_intervals: 0,
             offered: Vec::new(),
             dropped: Vec::new(),
         }
     }
 
     /// Rebuilds a recorder from raw cell counts (the codec's decode path).
-    /// Both tensors must be `[interval][link][class]`-shaped with the given
-    /// dimensions.
+    /// Both grids hold `n_intervals * n_links * n_classes` cells in the
+    /// `[interval][link][class]` order described on the type.
     pub fn from_counts(
         n_links: usize,
         n_classes: usize,
-        offered: Vec<Vec<Vec<u64>>>,
-        dropped: Vec<Vec<Vec<u64>>>,
+        n_intervals: usize,
+        offered: Vec<u64>,
+        dropped: Vec<u64>,
     ) -> LinkTruth {
-        assert_eq!(offered.len(), dropped.len(), "interval counts must match");
-        for tensor in [&offered, &dropped] {
-            for interval in tensor {
-                assert_eq!(interval.len(), n_links, "row per link");
-                for row in interval {
-                    assert_eq!(row.len(), n_classes, "cell per class");
-                }
-            }
-        }
+        let cells = n_intervals * n_links * n_classes;
+        assert_eq!(offered.len(), cells, "offered cell count");
+        assert_eq!(dropped.len(), cells, "dropped cell count");
         LinkTruth {
             n_links,
             n_classes,
+            n_intervals,
             offered,
             dropped,
         }
     }
 
     fn ensure(&mut self, t: usize) {
-        while self.offered.len() <= t {
-            self.offered
-                .push(vec![vec![0; self.n_classes]; self.n_links]);
-            self.dropped
-                .push(vec![vec![0; self.n_classes]; self.n_links]);
+        if t >= self.n_intervals {
+            self.n_intervals = t + 1;
+            let cells = self.n_intervals * self.n_links * self.n_classes;
+            self.offered.resize(cells, 0);
+            self.dropped.resize(cells, 0);
         }
+    }
+
+    /// Offset of `(link, class)` within one interval's cells.
+    fn offset(&self, link: LinkId, class: ClassLabel) -> usize {
+        let (l, c) = (link.index(), class as usize);
+        assert!(
+            l < self.n_links,
+            "link {l} out of range ({} links)",
+            self.n_links
+        );
+        assert!(
+            c < self.n_classes,
+            "class {c} out of range ({} classes)",
+            self.n_classes
+        );
+        l * self.n_classes + c
+    }
+
+    /// Index of cell `(t, link, class)`.
+    fn cell(&self, t: usize, link: LinkId, class: ClassLabel) -> usize {
+        let offset = self.offset(link, class);
+        assert!(
+            t < self.n_intervals,
+            "interval {t} out of range ({} recorded)",
+            self.n_intervals
+        );
+        t * self.n_links * self.n_classes + offset
+    }
+
+    /// The `(link, class)` cell of every interval of `grid`, in order.
+    fn column<'a>(
+        &self,
+        grid: &'a [u64],
+        link: LinkId,
+        class: ClassLabel,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let offset = self.offset(link, class);
+        grid.iter()
+            .skip(offset)
+            .step_by(self.n_links * self.n_classes)
+            .copied()
     }
 
     /// Records a packet offered to `link`.
     pub fn record_offered(&mut self, t: usize, link: LinkId, class: ClassLabel) {
         self.ensure(t);
-        self.offered[t][link.index()][class as usize] += 1;
+        let i = self.cell(t, link, class);
+        self.offered[i] += 1;
     }
 
     /// Records a packet dropped at `link` (queue overflow, policer, or
     /// shaper buffer overflow).
     pub fn record_dropped(&mut self, t: usize, link: LinkId, class: ClassLabel) {
         self.ensure(t);
-        self.dropped[t][link.index()][class as usize] += 1;
+        let i = self.cell(t, link, class);
+        self.dropped[i] += 1;
     }
 
     /// Number of recorded intervals.
     pub fn interval_count(&self) -> usize {
-        self.offered.len()
+        self.n_intervals
     }
 
     /// Number of classes.
@@ -94,19 +143,21 @@ impl LinkTruth {
 
     /// Packets of `class` offered to `link` during interval `t`.
     pub fn offered_at(&self, t: usize, link: LinkId, class: ClassLabel) -> u64 {
-        self.offered[t][link.index()][class as usize]
+        self.offered[self.cell(t, link, class)]
     }
 
     /// Packets of `class` dropped at `link` during interval `t`.
     pub fn dropped_at(&self, t: usize, link: LinkId, class: ClassLabel) -> u64 {
-        self.dropped[t][link.index()][class as usize]
+        self.dropped[self.cell(t, link, class)]
     }
 
     /// Drops the first `k` intervals (aligned with the measurement warm-up).
     pub fn drop_warmup(&mut self, k: usize) {
-        let k = k.min(self.offered.len());
-        self.offered.drain(0..k);
-        self.dropped.drain(0..k);
+        let k = k.min(self.n_intervals);
+        let cells = k * self.n_links * self.n_classes;
+        self.offered.drain(..cells);
+        self.dropped.drain(..cells);
+        self.n_intervals -= k;
     }
 
     /// The link's ground-truth congestion probability for one class: the
@@ -120,13 +171,13 @@ impl LinkTruth {
     ) -> f64 {
         let mut active = 0usize;
         let mut congested = 0usize;
-        for t in 0..self.offered.len() {
-            let off = self.offered[t][link.index()][class as usize];
+        let offered = self.column(&self.offered, link, class);
+        let dropped = self.column(&self.dropped, link, class);
+        for (off, drop) in offered.zip(dropped) {
             if off == 0 {
                 continue;
             }
             active += 1;
-            let drop = self.dropped[t][link.index()][class as usize];
             if drop as f64 > loss_threshold * off as f64 {
                 congested += 1;
             }
@@ -141,22 +192,24 @@ impl LinkTruth {
     /// Total packets of one class offered to a link (the denominator of a
     /// NetPolice-style per-class probe loss rate).
     pub fn class_offered(&self, link: LinkId, class: ClassLabel) -> u64 {
-        (0..self.offered.len())
-            .map(|t| self.offered[t][link.index()][class as usize])
-            .sum()
+        self.column(&self.offered, link, class).sum()
     }
 
     /// Total packets of one class dropped at a link.
     pub fn class_dropped(&self, link: LinkId, class: ClassLabel) -> u64 {
-        (0..self.dropped.len())
-            .map(|t| self.dropped[t][link.index()][class as usize])
-            .sum()
+        self.column(&self.dropped, link, class).sum()
     }
 
     /// Total packets dropped at a link across classes.
     pub fn total_dropped(&self, link: LinkId) -> u64 {
-        (0..self.dropped.len())
-            .map(|t| self.dropped[t][link.index()].iter().sum::<u64>())
+        assert!(
+            link.index() < self.n_links,
+            "link {} out of range ({} links)",
+            link.index(),
+            self.n_links
+        );
+        (0..self.n_classes)
+            .map(|c| self.class_dropped(link, c as ClassLabel))
             .sum()
     }
 }

@@ -178,7 +178,7 @@ pub fn decode_report(bytes: &[u8]) -> Result<SimReport, CodecError> {
     let n_links = r.vu()? as usize;
     let n_classes = r.vu()? as usize;
     let truth_intervals = r.vu()? as usize;
-    // Same byte-per-cell argument for the truth tensors; the degenerate
+    // Same byte-per-cell argument for the truth grids; the degenerate
     // zero-link/zero-class shape carries no cell bytes at all, so a nonzero
     // interval count there is unfillable garbage (a real recorder can only
     // grow intervals by recording against a link).
@@ -188,24 +188,18 @@ pub fn decode_report(bytes: &[u8]) -> Result<SimReport, CodecError> {
     if 2 * truth_intervals as u128 * n_links as u128 * n_classes as u128 > r.remaining() as u128 {
         return Err(CodecError::BadValue("truth dimensions exceed payload"));
     }
-    let read_tensor = |r: &mut WireReader<'_>| -> Result<Vec<Vec<Vec<u64>>>, CodecError> {
-        let mut tensor = Vec::with_capacity(truth_intervals);
-        for _ in 0..truth_intervals {
-            let mut interval = Vec::with_capacity(n_links);
-            for _ in 0..n_links {
-                let mut row = Vec::with_capacity(n_classes);
-                for _ in 0..n_classes {
-                    row.push(r.vu()?);
-                }
-                interval.push(row);
-            }
-            tensor.push(interval);
+    // The bound above keeps this product inside the payload's length.
+    let cells = truth_intervals * n_links * n_classes;
+    let read_grid = |r: &mut WireReader<'_>| -> Result<Vec<u64>, CodecError> {
+        let mut grid = Vec::with_capacity(cells);
+        for _ in 0..cells {
+            grid.push(r.vu()?);
         }
-        Ok(tensor)
+        Ok(grid)
     };
-    let offered = read_tensor(&mut r)?;
-    let dropped = read_tensor(&mut r)?;
-    let link_truth = LinkTruth::from_counts(n_links, n_classes, offered, dropped);
+    let offered = read_grid(&mut r)?;
+    let dropped = read_grid(&mut r)?;
+    let link_truth = LinkTruth::from_counts(n_links, n_classes, truth_intervals, offered, dropped);
 
     let n_traces = r.vu()? as usize;
     // Each trace costs at least its one-byte length varint.

@@ -355,9 +355,9 @@ impl LiveMonitor {
         Ok(vec![session.update(key, UpdateMode::Resync)])
     }
 
-    /// A complete measurement set landed: first vantage replays interval
-    /// by interval through the incremental path; a repeat identity merges
-    /// as a new vantage.
+    /// A complete measurement set landed: the first vantage's log becomes
+    /// the session log whole, and the engine replays it one interval per
+    /// update; a repeat identity merges as a new vantage.
     fn ingest_set(&mut self, set: MeasurementSet) -> Result<Vec<VerdictUpdate>, LiveError> {
         let key = set.key();
         if let Some(&i) = self.index.get(&key) {
@@ -372,15 +372,16 @@ impl LiveMonitor {
 
         let i = self.open_session(key, &set);
         let session = &mut self.sessions[i].1;
-        let n = set.log.path_count();
-        let mut updates = Vec::with_capacity(set.log.interval_count());
-        for t in 0..set.log.interval_count() {
-            let sent: Vec<u64> = (0..n).map(|p| set.log.sent(t, PathId(p))).collect();
-            let lost: Vec<u64> = (0..n).map(|p| set.log.lost(t, PathId(p))).collect();
-            session.stream.append_interval(&sent, &lost)?;
-            session
-                .live
-                .advance(session.stream.log(), session.stream.closed());
+        let mut log = set.log;
+        // Sessions track counts only: a delay grid would refuse every
+        // later vantage merge.
+        log.clear_delay();
+        session.stream = StreamingLog::from_log(log);
+        session.stream.close_all();
+        let closed = session.stream.closed();
+        let mut updates = Vec::with_capacity(closed);
+        for t in 1..=closed {
+            session.live.advance(session.stream.log(), t);
             updates.push(session.update(key, UpdateMode::Incremental));
         }
         Ok(updates)
@@ -670,6 +671,23 @@ mod tests {
             infer(&set, &InferenceConfig::default()).fingerprint(),
             "merged verdict equals batch inference over the full log"
         );
+        assert!(monitor.verify_batch().is_empty());
+    }
+
+    #[test]
+    fn a_delay_carrying_first_vantage_still_merges_a_second() {
+        let set = recorded_set(5);
+        let mut delayed = set.clone();
+        delayed.log.set_delay(Vec::new());
+        assert!(delayed.log.has_delay());
+
+        let mut monitor = LiveMonitor::new(LiveConfig::default());
+        let first = monitor.ingest_set(delayed).unwrap();
+        assert_eq!(first.len(), set.log.interval_count());
+        let second = monitor.ingest_set(set).unwrap();
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].mode, UpdateMode::Rebase);
+        assert_eq!(second[0].vantages, 2);
         assert!(monitor.verify_batch().is_empty());
     }
 

@@ -156,8 +156,8 @@ pub fn get_topology(r: &mut WireReader<'_>) -> Result<Topology, CodecError> {
         let kind = r.u8()?;
         let name = r.str()?;
         match kind {
-            0 => b.host(&name),
-            1 => b.relay(&name),
+            0 => b.host(name),
+            1 => b.relay(name),
             _ => return Err(CodecError::BadValue("node kind")),
         };
     }
@@ -167,7 +167,7 @@ pub fn get_topology(r: &mut WireReader<'_>) -> Result<Topology, CodecError> {
         let capacity = r.f64()?;
         let delay = r.f64()?;
         let name = r.str()?;
-        b.link_with(&name, src, dst, capacity, delay)?;
+        b.link_with(name, src, dst, capacity, delay)?;
     }
     for _ in 0..r.len()? {
         let name = r.str()?;
@@ -176,7 +176,7 @@ pub fn get_topology(r: &mut WireReader<'_>) -> Result<Topology, CodecError> {
         for _ in 0..n {
             links.push(LinkId(r.vu()? as usize));
         }
-        b.path(&name, links)?;
+        b.path(name, links)?;
     }
     Ok(b.build())
 }

@@ -182,6 +182,11 @@ impl MeasurementLog {
         self.delay = Some(rows);
     }
 
+    /// Drops the delay grid, keeping the counts.
+    pub fn clear_delay(&mut self) {
+        self.delay = None;
+    }
+
     /// The path's delay baseline: its minimum per-interval p50 across the
     /// log — the least-queued view of the propagation + transmission floor
     /// that the delay feature measures inflation against. `None` when the

@@ -176,22 +176,22 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
 
     // Nodes, tier by tier.
     let cores: Vec<NodeId> = (0..params.cores)
-        .map(|i| b.relay(&format!("C{i}")))
+        .map(|i| b.relay(format!("C{i}")))
         .collect();
     let mut aggs = Vec::new(); // (node, core index)
     let mut access = Vec::new(); // (node, agg index, core index)
     for c in 0..params.cores {
         for a in 0..params.aggs_per_core {
-            let agg = b.relay(&format!("G{c}.{a}"));
+            let agg = b.relay(format!("G{c}.{a}"));
             let agg_idx = aggs.len();
             aggs.push((agg, c));
             for x in 0..params.access_per_agg {
-                access.push((b.relay(&format!("A{c}.{a}.{x}")), agg_idx, c));
+                access.push((b.relay(format!("A{c}.{a}.{x}")), agg_idx, c));
             }
         }
     }
     let hosts: Vec<(NodeId, NodeId)> = (0..access.len())
-        .map(|g| (b.host(&format!("src{g}")), b.host(&format!("dst{g}"))))
+        .map(|g| (b.host(format!("src{g}")), b.host(format!("dst{g}"))))
         .collect();
 
     // Core mesh: the ring plus chords, both directions per adjacency.
@@ -207,7 +207,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
             let delay = jittered(&params.core_tier, &mut rng);
             let l = b
                 .link_with(
-                    &format!("core:{s}>{d}"),
+                    format!("core:{s}>{d}"),
                     cores[s],
                     cores[d],
                     params.core_tier.rate_bps,
@@ -238,7 +238,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
         let d_dn = jittered(&params.core_tier, &mut rng);
         agg_up.push(
             b.link_with(
-                &format!("agg:up{i}"),
+                format!("agg:up{i}"),
                 agg,
                 cores[c],
                 params.core_tier.rate_bps,
@@ -248,7 +248,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
         );
         agg_dn.push(
             b.link_with(
-                &format!("agg:dn{i}"),
+                format!("agg:dn{i}"),
                 cores[c],
                 agg,
                 params.core_tier.rate_bps,
@@ -266,7 +266,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
         let d_dn = jittered(&params.agg_tier, &mut rng);
         acc_up.push(
             b.link_with(
-                &format!("acc:up{g}"),
+                format!("acc:up{g}"),
                 acc,
                 aggs[a].0,
                 params.agg_tier.rate_bps,
@@ -276,7 +276,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
         );
         acc_dn.push(
             b.link_with(
-                &format!("acc:dn{g}"),
+                format!("acc:dn{g}"),
                 aggs[a].0,
                 acc,
                 params.agg_tier.rate_bps,
@@ -289,7 +289,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
         let d_dst = jittered(&params.access_tier, &mut rng);
         host_up.push(
             b.link_with(
-                &format!("host:src{g}"),
+                format!("host:src{g}"),
                 src,
                 acc,
                 params.access_tier.rate_bps,
@@ -299,7 +299,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
         );
         host_dn.push(
             b.link_with(
-                &format!("host:dst{g}"),
+                format!("host:dst{g}"),
                 acc,
                 dst,
                 params.access_tier.rate_bps,
@@ -333,7 +333,7 @@ pub fn generate(params: &IspParams, seed: u64) -> PaperTopology {
             }
             links.push(host_dn[d]);
             let p = b
-                .path(&format!("p{s}>{d}"), links)
+                .path(format!("p{s}>{d}"), links)
                 .expect("generated route is connected and loop-free");
             classes[p.index() % 2].push(p);
         }

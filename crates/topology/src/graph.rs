@@ -209,19 +209,19 @@ impl TopologyBuilder {
     }
 
     /// Adds an end-host node.
-    pub fn host(&mut self, name: &str) -> NodeId {
+    pub fn host(&mut self, name: impl Into<String>) -> NodeId {
         self.nodes.push(Node {
             kind: NodeKind::Host,
-            name: name.to_string(),
+            name: name.into(),
         });
         NodeId(self.nodes.len() - 1)
     }
 
     /// Adds a relay node.
-    pub fn relay(&mut self, name: &str) -> NodeId {
+    pub fn relay(&mut self, name: impl Into<String>) -> NodeId {
         self.nodes.push(Node {
             kind: NodeKind::Relay,
-            name: name.to_string(),
+            name: name.into(),
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -229,7 +229,7 @@ impl TopologyBuilder {
     /// Adds a directed link with explicit parameters.
     pub fn link_with(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         src: NodeId,
         dst: NodeId,
         capacity_bps: f64,
@@ -245,19 +245,28 @@ impl TopologyBuilder {
             dst,
             capacity_bps,
             delay_s,
-            name: name.to_string(),
+            name: name.into(),
         });
         Ok(LinkId(self.links.len() - 1))
     }
 
     /// Adds a directed link with default capacity and delay.
-    pub fn link(&mut self, name: &str, src: NodeId, dst: NodeId) -> Result<LinkId, TopologyError> {
+    pub fn link(
+        &mut self,
+        name: impl Into<String>,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<LinkId, TopologyError> {
         self.link_with(name, src, dst, DEFAULT_CAPACITY_BPS, DEFAULT_DELAY_S)
     }
 
     /// Adds a path (validated: non-empty, connected, loop-free, host
     /// endpoints).
-    pub fn path(&mut self, name: &str, links: Vec<LinkId>) -> Result<PathId, TopologyError> {
+    pub fn path(
+        &mut self,
+        name: impl Into<String>,
+        links: Vec<LinkId>,
+    ) -> Result<PathId, TopologyError> {
         if links.is_empty() {
             return Err(TopologyError::EmptyPath);
         }
@@ -295,7 +304,7 @@ impl TopologyBuilder {
             return Err(TopologyError::PathSinkNotHost(last_dst));
         }
         let id = PathId(self.paths.len());
-        self.paths.push(Path::new(id, name.to_string(), links));
+        self.paths.push(Path::new(id, name.into(), links));
         Ok(id)
     }
 
@@ -389,7 +398,7 @@ mod tests {
         // h0 -> r0 -> ... -> r69 -> r30: 71 links, the first repeat at r30.
         let mut b = TopologyBuilder::new();
         let h0 = b.host("h0");
-        let relays: Vec<NodeId> = (0..70).map(|i| b.relay(&format!("r{i}"))).collect();
+        let relays: Vec<NodeId> = (0..70).map(|i| b.relay(format!("r{i}"))).collect();
         let mut links = vec![b.link("in", h0, relays[0]).unwrap()];
         for w in relays.windows(2) {
             links.push(b.link("hop", w[0], w[1]).unwrap());

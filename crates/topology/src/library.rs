@@ -175,8 +175,8 @@ pub const ACCESS_BPS: f64 = 1e9;
 /// paths (Table 2, experiment sets 2, 5, 8 vary class RTT).
 pub fn topology_a(rtt_c1: f64, rtt_c2: f64) -> PaperTopology {
     let mut b = TopologyBuilder::new();
-    let sources: Vec<_> = (1..=4).map(|i| b.host(&format!("S{i}"))).collect();
-    let sinks: Vec<_> = (1..=4).map(|i| b.host(&format!("D{i}"))).collect();
+    let sources: Vec<_> = (1..=4).map(|i| b.host(format!("S{i}"))).collect();
+    let sinks: Vec<_> = (1..=4).map(|i| b.host(format!("D{i}"))).collect();
     let sw1 = b.relay("SW1");
     let sw2 = b.relay("SW2");
 
@@ -190,7 +190,7 @@ pub fn topology_a(rtt_c1: f64, rtt_c2: f64) -> PaperTopology {
         let rtt = if i < 2 { rtt_c1 } else { rtt_c2 };
         let d = access_delay(rtt).max(0.0005);
         ingress.push(
-            b.link_with(&format!("l{}", i + 1), src, sw1, ACCESS_BPS, d)
+            b.link_with(format!("l{}", i + 1), src, sw1, ACCESS_BPS, d)
                 .unwrap(),
         );
         egress.push((i, d));
@@ -202,16 +202,13 @@ pub fn topology_a(rtt_c1: f64, rtt_c2: f64) -> PaperTopology {
     let mut egress_links = Vec::new();
     for (i, d) in egress {
         let le = b
-            .link_with(&format!("l{}", i + 6), sw2, sinks[i], ACCESS_BPS, d)
+            .link_with(format!("l{}", i + 6), sw2, sinks[i], ACCESS_BPS, d)
             .unwrap();
         egress_links.push(le);
     }
     for i in 0..4 {
         let p = b
-            .path(
-                &format!("p{}", i + 1),
-                vec![ingress[i], l5, egress_links[i]],
-            )
+            .path(format!("p{}", i + 1), vec![ingress[i], l5, egress_links[i]])
             .unwrap();
         paths.push(p);
     }
@@ -337,15 +334,15 @@ pub fn dumbbell(n1: usize, n2: usize) -> PaperTopology {
         .unwrap();
     let mut paths = Vec::new();
     for i in 0..n {
-        let s = b.host(&format!("S{i}"));
-        let t = b.host(&format!("D{i}"));
+        let s = b.host(format!("S{i}"));
+        let t = b.host(format!("D{i}"));
         let li = b
-            .link_with(&format!("in{i}"), s, sw1, ACCESS_BPS, 0.01)
+            .link_with(format!("in{i}"), s, sw1, ACCESS_BPS, 0.01)
             .unwrap();
         let le = b
-            .link_with(&format!("out{i}"), sw2, t, ACCESS_BPS, 0.01)
+            .link_with(format!("out{i}"), sw2, t, ACCESS_BPS, 0.01)
             .unwrap();
-        paths.push(b.path(&format!("p{i}"), vec![li, shared, le]).unwrap());
+        paths.push(b.path(format!("p{i}"), vec![li, shared, le]).unwrap());
     }
     PaperTopology {
         topology: b.build(),
@@ -360,11 +357,11 @@ pub fn dumbbell(n1: usize, n2: usize) -> PaperTopology {
 pub fn parking_lot(segments: usize) -> PaperTopology {
     assert!(segments >= 2, "parking lot needs at least two segments");
     let mut b = TopologyBuilder::new();
-    let relays: Vec<_> = (0..=segments).map(|i| b.relay(&format!("B{i}"))).collect();
+    let relays: Vec<_> = (0..=segments).map(|i| b.relay(format!("B{i}"))).collect();
     let backbone: Vec<_> = (0..segments)
         .map(|i| {
             b.link_with(
-                &format!("b{i}"),
+                format!("b{i}"),
                 relays[i],
                 relays[i + 1],
                 BOTTLENECK_BPS,
@@ -387,23 +384,17 @@ pub fn parking_lot(segments: usize) -> PaperTopology {
     paths.push(b.path("pfull", full).unwrap());
     // One two-segment path per interior relay.
     for i in 0..segments.saturating_sub(1) {
-        let hs = b.host(&format!("S{i}"));
-        let ht = b.host(&format!("T{i}"));
+        let hs = b.host(format!("S{i}"));
+        let ht = b.host(format!("T{i}"));
         let lin = b
-            .link_with(&format!("ramp_in{i}"), hs, relays[i], ACCESS_BPS, 0.005)
+            .link_with(format!("ramp_in{i}"), hs, relays[i], ACCESS_BPS, 0.005)
             .unwrap();
         let lout = b
-            .link_with(
-                &format!("ramp_out{i}"),
-                relays[i + 2],
-                ht,
-                ACCESS_BPS,
-                0.005,
-            )
+            .link_with(format!("ramp_out{i}"), relays[i + 2], ht, ACCESS_BPS, 0.005)
             .unwrap();
         paths.push(
             b.path(
-                &format!("p{i}"),
+                format!("p{i}"),
                 vec![lin, backbone[i], backbone[i + 1], lout],
             )
             .unwrap(),
