@@ -24,7 +24,7 @@
 //!                segments_delivered vu · segments_dropped vu
 //! ```
 
-use nni_measure::codec::CodecError;
+use nni_measure::codec::{self, CodecError};
 use nni_measure::{MeasurementLog, WireReader, WireWriter};
 use nni_topology::PathId;
 
@@ -54,20 +54,7 @@ pub fn encode_report(report: &SimReport) -> Vec<u8> {
     // fixture) is loss-only and carries this flag as 0.
     w.u8(log.has_delay() as u8);
     if log.has_delay() {
-        for t in 0..log.interval_count() {
-            for p in 0..log.path_count() {
-                match log.delay(t, PathId(p)) {
-                    Some(stats) => {
-                        w.u8(1);
-                        w.vu(stats.count);
-                        w.f64(stats.p50_s);
-                        w.f64(stats.p90_s);
-                        w.f64(stats.p99_s);
-                    }
-                    None => w.u8(0),
-                }
-            }
-        }
+        codec::put_delay(&mut w, log);
     }
 
     let truth = &report.link_truth;
@@ -147,30 +134,7 @@ pub fn decode_report(bytes: &[u8]) -> Result<SimReport, CodecError> {
             if n_paths as u128 * n_intervals as u128 > r.remaining() as u128 {
                 return Err(CodecError::BadValue("delay dimensions exceed payload"));
             }
-            let mut rows = Vec::with_capacity(n_intervals);
-            for _ in 0..n_intervals {
-                let mut row = Vec::with_capacity(n_paths);
-                for _ in 0..n_paths {
-                    row.push(match r.u8()? {
-                        0 => None,
-                        1 => {
-                            let count = r.vu()?;
-                            if count == 0 {
-                                return Err(CodecError::BadValue("delay cell with zero samples"));
-                            }
-                            Some(nni_measure::DelayStats {
-                                count,
-                                p50_s: r.f64()?,
-                                p90_s: r.f64()?,
-                                p99_s: r.f64()?,
-                            })
-                        }
-                        _ => return Err(CodecError::BadValue("delay cell presence flag")),
-                    });
-                }
-                rows.push(row);
-            }
-            log.set_delay(rows);
+            codec::get_delay(&mut r, &mut log)?;
         }
         _ => return Err(CodecError::BadValue("delay grid flag")),
     }

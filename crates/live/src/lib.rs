@@ -50,12 +50,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use nni_core::InferenceResult;
-use nni_measure::{
-    MeasurementLog, MeasurementSet, MeasurementSource, MergeError, SetKey, SourceError,
-    StreamError, StreamingLog, TailEvent,
-};
-use nni_scenario::{infer, InferenceConfig, Provenance, StreamingInference};
-use nni_topology::{PathId, Topology};
+use nni_measure::jsonl::escape;
+use nni_measure::{IntervalRows, MeasurementLog, MeasurementSet, MergeError, SetKey, TailEvent};
+use nni_scenario::{infer, InferenceConfig, StreamingInference};
+use nni_topology::PathId;
 
 /// How a [`LiveMonitor`] runs its inference sessions.
 #[derive(Debug, Clone, Copy, Default)]
@@ -128,7 +126,7 @@ impl VerdictUpdate {
             "{{\"type\":\"update\",\"scenario\":\"{}\",\"fingerprint\":\"{:016x}\",\
              \"seed\":{},\"interval\":{},\"vantages\":{},\"nonneutral\":{},\
              \"result\":\"{:016x}\",\"mode\":\"{}\",\"degraded\":{}}}",
-            esc(&self.scenario),
+            escape(&self.scenario),
             self.scenario_fingerprint,
             self.seed,
             self.interval,
@@ -144,11 +142,9 @@ impl VerdictUpdate {
 /// Why the monitor refused an arrival.
 #[derive(Debug)]
 pub enum LiveError {
-    /// A corpus entry failed to load.
-    Source(SourceError),
-    /// Interval rows refused to append to the session's log.
-    Stream(StreamError),
-    /// Two vantage logs refused to merge (grid or path-count mismatch).
+    /// Counts refused to join the session log: a vantage log on another
+    /// grid or path count, or interval rows whose width is not the
+    /// session's path count.
     Merge(MergeError),
     /// A second vantage for a key disagrees on topology or classes —
     /// same identity must mean same measured network.
@@ -160,9 +156,7 @@ pub enum LiveError {
 impl std::fmt::Display for LiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LiveError::Source(e) => write!(f, "entry failed to load: {e}"),
-            LiveError::Stream(e) => write!(f, "interval append refused: {e}"),
-            LiveError::Merge(e) => write!(f, "vantage merge refused: {e}"),
+            LiveError::Merge(e) => write!(f, "log merge refused: {e}"),
             LiveError::VantageMismatch(key) => {
                 write!(f, "vantage for {key} disagrees on topology/classes")
             }
@@ -175,18 +169,6 @@ impl std::fmt::Display for LiveError {
 
 impl std::error::Error for LiveError {}
 
-impl From<SourceError> for LiveError {
-    fn from(e: SourceError) -> LiveError {
-        LiveError::Source(e)
-    }
-}
-
-impl From<StreamError> for LiveError {
-    fn from(e: StreamError) -> LiveError {
-        LiveError::Stream(e)
-    }
-}
-
 impl From<MergeError> for LiveError {
     fn from(e: MergeError) -> LiveError {
         LiveError::Merge(e)
@@ -196,12 +178,10 @@ impl From<MergeError> for LiveError {
 /// One inference session: everything known about one measurement identity.
 #[derive(Debug)]
 struct Session {
-    topology: Topology,
-    classes: Vec<Vec<PathId>>,
-    provenance: Provenance,
-    /// The merged multi-vantage log; its watermark is the verdict
-    /// watermark.
-    stream: StreamingLog,
+    /// The measured network and the merged multi-vantage log, counts only.
+    /// Every recorded interval is closed: the log's interval count is the
+    /// verdict watermark.
+    set: MeasurementSet,
     live: StreamingInference,
     vantages: usize,
     /// The segment file feeding this session incrementally, if any — the
@@ -213,10 +193,10 @@ struct Session {
 }
 
 impl Session {
-    fn update(&mut self, key: SetKey, mode: UpdateMode) -> VerdictUpdate {
+    fn update(&self, key: SetKey, mode: UpdateMode) -> VerdictUpdate {
         let result = self.live.verdict();
         VerdictUpdate {
-            scenario: self.provenance.scenario.clone(),
+            scenario: self.set.provenance.scenario.clone(),
             scenario_fingerprint: key.fingerprint,
             seed: key.seed,
             interval: self.live.consumed(),
@@ -228,17 +208,29 @@ impl Session {
         }
     }
 
+    /// Refuses a vantage of the same identity that measured another
+    /// network.
+    fn check_vantage(&self, key: SetKey, set: &MeasurementSet) -> Result<(), LiveError> {
+        if self.set.topology != set.topology || self.set.classes != set.classes {
+            return Err(LiveError::VantageMismatch(key));
+        }
+        Ok(())
+    }
+
+    /// Whether intervals from `t` on, arriving from segment `path`, extend
+    /// the log in place: they come from the primary segment and start at
+    /// the watermark.
+    fn appends(&self, path: &Path, t: usize) -> bool {
+        self.primary.as_deref() == Some(path) && t == self.set.log.interval_count()
+    }
+
     /// Merges `delta` (another vantage's counts) into the session log and
     /// replays: the exact fallback for history rewrites.
     fn merge_and_rebase(&mut self, delta: &MeasurementLog) -> Result<(), LiveError> {
-        let placeholder = StreamingLog::new(delta.path_count(), delta.interval_s());
-        let mut log = std::mem::replace(&mut self.stream, placeholder).into_log();
-        log.merge(delta)?;
-        let mut stream = StreamingLog::from_log(log);
-        stream.close_all();
-        self.stream = stream;
+        self.set.log.merge(delta)?;
         self.live.rebase();
-        self.live.advance(self.stream.log(), self.stream.closed());
+        self.live
+            .advance(&self.set.log, self.set.log.interval_count());
         Ok(())
     }
 }
@@ -297,10 +289,7 @@ impl LiveMonitor {
     /// the tail loop instead.
     pub fn handle(&mut self, event: TailEvent) -> Result<Vec<VerdictUpdate>, LiveError> {
         match event {
-            TailEvent::Entry(entry) => {
-                let set = entry.acquire()?;
-                self.ingest_set(set)
-            }
+            TailEvent::Entry { set, .. } => self.ingest_set(set),
             TailEvent::SegmentHeader { path, set } => {
                 self.ingest_header(path, set)?;
                 Ok(Vec::new())
@@ -309,7 +298,7 @@ impl LiveMonitor {
                 path,
                 first_t,
                 rows,
-            } => self.ingest_intervals(&path, first_t, &rows),
+            } => self.ingest_intervals(&path, first_t, rows),
             TailEvent::SegmentGap {
                 path,
                 from_interval,
@@ -318,6 +307,15 @@ impl LiveMonitor {
             } => self.ingest_gap(&path, from_interval, to_interval),
             TailEvent::Corrupt { .. } => Ok(Vec::new()),
         }
+    }
+
+    /// The session a segment file feeds.
+    fn segment_session(&mut self, path: &Path) -> Result<(SetKey, &mut Session), LiveError> {
+        let Some(&key) = self.by_path.get(path) else {
+            return Err(LiveError::UnknownSegment(path.to_path_buf()));
+        };
+        let i = self.index[&key];
+        Ok((key, &mut self.sessions[i].1))
     }
 
     /// A corrupt region of a live segment was skipped: intervals
@@ -332,56 +330,37 @@ impl LiveMonitor {
         from_interval: usize,
         to_interval: usize,
     ) -> Result<Vec<VerdictUpdate>, LiveError> {
-        let Some(&key) = self.by_path.get(path) else {
-            return Err(LiveError::UnknownSegment(path.to_path_buf()));
-        };
-        let i = self.index[&key];
-        let session = &mut self.sessions[i].1;
+        let (key, session) = self.segment_session(path)?;
         session.degraded = true;
-        let appendable =
-            session.primary.as_deref() == Some(path) && from_interval == session.stream.closed();
-        if !appendable || to_interval <= from_interval {
+        if !session.appends(path, from_interval) || to_interval <= from_interval {
             // Non-primary vantages merge their rows as deltas; a gap in
             // one simply means fewer rows to merge.
             return Ok(Vec::new());
         }
-        let zeros = vec![0u64; session.stream.log().path_count()];
-        for _ in from_interval..to_interval {
-            session.stream.append_interval(&zeros, &zeros)?;
-        }
-        session
-            .live
-            .advance(session.stream.log(), session.stream.closed());
+        push_idle(&mut session.set.log, to_interval - from_interval);
+        session.live.advance(&session.set.log, to_interval);
         Ok(vec![session.update(key, UpdateMode::Resync)])
     }
 
-    /// A complete measurement set landed: the first vantage's log becomes
-    /// the session log whole, and the engine replays it one interval per
+    /// A complete measurement set landed: the first vantage becomes the
+    /// session whole, and the engine replays its log one interval per
     /// update; a repeat identity merges as a new vantage.
     fn ingest_set(&mut self, set: MeasurementSet) -> Result<Vec<VerdictUpdate>, LiveError> {
         let key = set.key();
         if let Some(&i) = self.index.get(&key) {
             let session = &mut self.sessions[i].1;
-            if session.topology != set.topology || session.classes != set.classes {
-                return Err(LiveError::VantageMismatch(key));
-            }
+            session.check_vantage(key, &set)?;
             session.merge_and_rebase(&set.log)?;
             session.vantages += 1;
-            return Ok(vec![self.sessions[i].1.update(key, UpdateMode::Rebase)]);
+            return Ok(vec![session.update(key, UpdateMode::Rebase)]);
         }
 
-        let i = self.open_session(key, &set);
+        let i = self.open_session(key, set);
         let session = &mut self.sessions[i].1;
-        let mut log = set.log;
-        // Sessions track counts only: a delay grid would refuse every
-        // later vantage merge.
-        log.clear_delay();
-        session.stream = StreamingLog::from_log(log);
-        session.stream.close_all();
-        let closed = session.stream.closed();
+        let closed = session.set.log.interval_count();
         let mut updates = Vec::with_capacity(closed);
         for t in 1..=closed {
-            session.live.advance(session.stream.log(), t);
+            session.live.advance(&session.set.log, t);
             updates.push(session.update(key, UpdateMode::Incremental));
         }
         Ok(updates)
@@ -389,19 +368,20 @@ impl LiveMonitor {
 
     /// A segment announced itself: open (or join) the session and remember
     /// which file feeds it.
-    fn ingest_header(&mut self, path: PathBuf, set: MeasurementSet) -> Result<(), LiveError> {
+    fn ingest_header(&mut self, path: PathBuf, mut set: MeasurementSet) -> Result<(), LiveError> {
         let key = set.key();
         match self.index.get(&key) {
             Some(&i) => {
-                let session = &mut self.sessions[i].1;
-                if session.topology != set.topology || session.classes != set.classes {
-                    return Err(LiveError::VantageMismatch(key));
-                }
                 // A second vantage joins; its intervals will merge.
+                let session = &mut self.sessions[i].1;
+                session.check_vantage(key, &set)?;
                 session.vantages += 1;
             }
             None => {
-                let i = self.open_session(key, &set);
+                // The header gives the grid; the segment's rows follow it,
+                // so the session log starts empty.
+                set.log = MeasurementLog::new(set.log.path_count(), set.log.interval_s());
+                let i = self.open_session(key, set);
                 self.sessions[i].1.primary = Some(path.clone());
             }
         }
@@ -412,64 +392,61 @@ impl LiveMonitor {
     /// Newly complete interval rows of a live segment. The primary segment
     /// appends at the watermark (pure incremental); any other vantage —
     /// or a primary that fell behind a merge — goes through merge +
-    /// rebase.
+    /// rebase. Rows of the wrong width are refused before any lands.
     fn ingest_intervals(
         &mut self,
         path: &Path,
         first_t: usize,
-        rows: &[(Vec<u64>, Vec<u64>)],
+        rows: IntervalRows,
     ) -> Result<Vec<VerdictUpdate>, LiveError> {
-        let Some(&key) = self.by_path.get(path) else {
-            return Err(LiveError::UnknownSegment(path.to_path_buf()));
-        };
-        let i = self.index[&key];
-        let session = &mut self.sessions[i].1;
+        let (key, session) = self.segment_session(path)?;
+        let n = session.set.log.path_count();
+        if let Some(theirs) = rows
+            .iter()
+            .flat_map(|(sent, lost)| [sent.len(), lost.len()])
+            .find(|&w| w != n)
+        {
+            return Err(MergeError::PathCountMismatch { ours: n, theirs }.into());
+        }
 
-        let appendable =
-            session.primary.as_deref() == Some(path) && first_t == session.stream.closed();
-        if appendable {
+        if session.appends(path, first_t) {
             let mut updates = Vec::with_capacity(rows.len());
             for (sent, lost) in rows {
-                session.stream.append_interval(sent, lost)?;
-                session
-                    .live
-                    .advance(session.stream.log(), session.stream.closed());
+                session.set.log.push_interval(sent, lost);
+                let t = session.set.log.interval_count();
+                session.live.advance(&session.set.log, t);
                 updates.push(session.update(key, UpdateMode::Incremental));
             }
             return Ok(updates);
         }
 
         // Another vantage's rows (or out-of-position primary rows after a
-        // merge extended the log): express them as a delta log and merge.
-        let log = session.stream.log();
-        let mut delta = MeasurementLog::new(log.path_count(), log.interval_s());
-        for (i, (sent, lost)) in rows.iter().enumerate() {
-            for (p, (&s, &l)) in sent.iter().zip(lost).enumerate() {
-                delta.record_sent(first_t + i, PathId(p), s);
-                delta.record_lost(first_t + i, PathId(p), l);
-            }
+        // merge extended the log): a delta log of zero rows up to
+        // `first_t`, then the rows, merged.
+        let mut delta = MeasurementLog::new(n, session.set.log.interval_s());
+        // An empty chunk (a valid segment may hold one) grows nothing.
+        if !rows.is_empty() {
+            push_idle(&mut delta, first_t);
+        }
+        for (sent, lost) in rows {
+            delta.push_interval(sent, lost);
         }
         session.merge_and_rebase(&delta)?;
         Ok(vec![session.update(key, UpdateMode::Rebase)])
     }
 
-    fn open_session(&mut self, key: SetKey, set: &MeasurementSet) -> usize {
+    /// Opens a session over `set`, dropping its delay grid: sessions track
+    /// counts only, and a delay grid would refuse every later vantage
+    /// merge.
+    fn open_session(&mut self, key: SetKey, mut set: MeasurementSet) -> usize {
+        set.log.clear_delay();
+        let (topology, seed) = (&set.topology, set.provenance.seed);
         let live = match self.cfg.window {
-            Some(w) => StreamingInference::windowed(
-                &set.topology,
-                set.provenance.seed,
-                &self.cfg.inference,
-                w,
-            ),
-            None => {
-                StreamingInference::new(&set.topology, set.provenance.seed, &self.cfg.inference)
-            }
+            Some(w) => StreamingInference::windowed(topology, seed, &self.cfg.inference, w),
+            None => StreamingInference::new(topology, seed, &self.cfg.inference),
         };
         let session = Session {
-            topology: set.topology.clone(),
-            classes: set.classes.clone(),
-            provenance: set.provenance.clone(),
-            stream: StreamingLog::new(set.log.path_count(), set.log.interval_s()),
+            set,
             live,
             vantages: 1,
             primary: None,
@@ -489,33 +466,34 @@ impl LiveMonitor {
     pub fn verify_batch(&self) -> Vec<VerifyMismatch> {
         let mut mismatches = Vec::new();
         for (key, session) in &self.sessions {
-            let log = session.stream.log();
-            let t_max = session.stream.closed();
-            // Windowed sessions compare against the same log with the
-            // aged-out prefix zeroed — same interval indices, so the
-            // normalization draws line up.
-            let keep_from = match self.cfg.window {
-                Some(w) => t_max.saturating_sub(w),
-                None => 0,
-            };
-            let mut batch_log = MeasurementLog::new(log.path_count(), log.interval_s());
-            for t in keep_from..t_max {
-                for p in 0..log.path_count() {
-                    batch_log.record_sent(t, PathId(p), log.sent(t, PathId(p)));
-                    batch_log.record_lost(t, PathId(p), log.lost(t, PathId(p)));
+            let set = &session.set;
+            let batch = match self.cfg.window {
+                None => infer(set, &self.cfg.inference),
+                // Windowed sessions compare against the same log with the
+                // aged-out prefix zeroed — same interval indices, so the
+                // normalization draws line up.
+                Some(w) => {
+                    let (n, t_max) = (set.log.path_count(), set.log.interval_count());
+                    let keep_from = t_max.saturating_sub(w);
+                    let mut log = MeasurementLog::new(n, set.log.interval_s());
+                    push_idle(&mut log, keep_from);
+                    for t in keep_from..t_max {
+                        let row = |cell: fn(&MeasurementLog, usize, PathId) -> u64| {
+                            (0..n).map(|p| cell(&set.log, t, PathId(p))).collect()
+                        };
+                        log.push_interval(row(MeasurementLog::sent), row(MeasurementLog::lost));
+                    }
+                    let windowed = MeasurementSet {
+                        topology: set.topology.clone(),
+                        classes: set.classes.clone(),
+                        log,
+                        provenance: set.provenance.clone(),
+                    };
+                    infer(&windowed, &self.cfg.inference)
                 }
             }
-            if t_max > 0 && batch_log.interval_count() < t_max {
-                batch_log.record_sent(t_max - 1, PathId(0), 0);
-            }
-            let batch_set = MeasurementSet {
-                topology: session.topology.clone(),
-                classes: session.classes.clone(),
-                log: batch_log,
-                provenance: session.provenance.clone(),
-            };
+            .fingerprint();
             let streaming = session.live.verdict().fingerprint();
-            let batch = infer(&batch_set, &self.cfg.inference).fingerprint();
             if streaming != batch {
                 mismatches.push(VerifyMismatch {
                     key: *key,
@@ -536,22 +514,16 @@ impl LiveMonitor {
     /// The merged log watermark of one session, if tracked.
     pub fn watermark(&self, key: SetKey) -> Option<usize> {
         let &i = self.index.get(&key)?;
-        Some(self.sessions[i].1.stream.closed())
+        Some(self.sessions[i].1.set.log.interval_count())
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Appends `k` intervals in which nothing was sent or lost.
+fn push_idle(log: &mut MeasurementLog, k: usize) {
+    let n = log.path_count();
+    for _ in 0..k {
+        log.push_interval(vec![0; n], vec![0; n]);
     }
-    out
 }
 
 #[cfg(test)]
@@ -603,6 +575,79 @@ mod tests {
         );
         assert!(monitor.verify_batch().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_entry_streams_from_its_event_after_the_file_is_gone() {
+        let dir = temp_dir("deleted");
+        let set = recorded_set(3);
+        let path = Corpus::open(&dir).unwrap().store(&set).unwrap();
+
+        let events = CorpusTail::open(&dir).unwrap().poll().unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut monitor = LiveMonitor::new(LiveConfig::default());
+        let mut updates = Vec::new();
+        for e in events {
+            updates.extend(monitor.handle(e).unwrap());
+        }
+        assert_eq!(updates.len(), set.log.interval_count());
+        assert_eq!(
+            updates.last().unwrap().result_fingerprint,
+            infer(&set, &InferenceConfig::default()).fingerprint()
+        );
+        assert!(monitor.verify_batch().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_rows_append_at_the_watermark_and_wrong_widths_are_refused() {
+        let set = recorded_set(3);
+        let n = set.log.path_count();
+        let row = |t: usize| -> (Vec<u64>, Vec<u64>) {
+            (
+                (0..n).map(|p| set.log.sent(t, PathId(p))).collect(),
+                (0..n).map(|p| set.log.lost(t, PathId(p))).collect(),
+            )
+        };
+        let path = PathBuf::from("rows.nniseg");
+        let intervals = |first_t, rows| TailEvent::SegmentIntervals {
+            path: path.clone(),
+            first_t,
+            rows,
+        };
+        let mut monitor = LiveMonitor::new(LiveConfig::default());
+        let header = TailEvent::SegmentHeader {
+            path: path.clone(),
+            set: set.clone(),
+        };
+        assert!(monitor.handle(header).unwrap().is_empty());
+        let updates = monitor
+            .handle(intervals(0, vec![row(0), (vec![0; n], vec![0; n]), row(2)]))
+            .unwrap();
+        assert_eq!(updates.len(), 3);
+        assert_eq!(monitor.watermark(set.key()), Some(3));
+        let log = &monitor.sessions[0].1.set.log;
+        assert_eq!(log.sent(2, PathId(1)), set.log.sent(2, PathId(1)));
+        assert_eq!(log.lost(0, PathId(0)), set.log.lost(0, PathId(0)));
+        assert_eq!(log.sent(1, PathId(0)), 0);
+
+        // One bad row refuses the whole batch, on the append path and on
+        // the merge path alike.
+        for first_t in [3, 0] {
+            let wide = vec![row(3), (vec![1; n + 1], vec![0; n + 1])];
+            match monitor.handle(intervals(first_t, wide)) {
+                Err(LiveError::Merge(MergeError::PathCountMismatch { ours, theirs })) => {
+                    assert_eq!((ours, theirs), (n, n + 1))
+                }
+                other => panic!("expected a path-count refusal, got {other:?}"),
+            }
+            assert_eq!(monitor.watermark(set.key()), Some(3), "nothing landed");
+        }
+        let narrow = vec![(vec![0; n], vec![0; n - 1])];
+        assert!(matches!(
+            monitor.handle(intervals(3, narrow)),
+            Err(LiveError::Merge(MergeError::PathCountMismatch { .. }))
+        ));
     }
 
     #[test]

@@ -39,12 +39,13 @@
 //!
 //! # Shared walks
 //!
-//! The TOPOLOGY and CLASSES payloads are each written by one function and
-//! read by one: [`put_topology`]/[`get_topology`] and
-//! [`put_classes`]/[`get_classes`]. The worker job codec in `nni-scenario`
-//! calls the same four, and the writers are generic over [`Sink`], so the
-//! scenario's measurement fingerprint folds the very same walk into an
-//! FNV-1a instead of restating it. One row writer, `put_rows`, lays out the
+//! The TOPOLOGY, CLASSES and DELAY payloads are each written by one
+//! function and read by one: [`put_topology`]/[`get_topology`],
+//! [`put_classes`]/[`get_classes`] and [`put_delay`]/[`get_delay`]. The
+//! worker job codec in `nni-scenario` calls the topology and class walks,
+//! the emulator's report codec the delay walk, and the writers are generic
+//! over [`Sink`], so the scenario's measurement fingerprint folds the very
+//! same walk into an FNV-1a instead of restating it. One row writer, `put_rows`, lays out the
 //! LOG grid and a segment's interval chunks alike.
 
 use crate::dataset::{Fnv, MeasurementSet, Provenance};
@@ -212,6 +213,58 @@ pub fn get_classes(r: &mut WireReader<'_>, n_paths: usize) -> Result<Vec<Vec<Pat
     Ok(classes)
 }
 
+/// Writes a log's delay grid, interval-major: per cell a presence `u8`,
+/// then for a present cell its sample count `vu` and p50/p90/p99 `f64`s.
+/// The DELAY section's payload and the emulator report's delay grid.
+pub fn put_delay(w: &mut impl Sink, log: &MeasurementLog) {
+    for t in 0..log.interval_count() {
+        for p in 0..log.path_count() {
+            match log.delay(t, PathId(p)) {
+                Some(stats) => {
+                    w.u8(1);
+                    w.vu(stats.count);
+                    w.f64(stats.p50_s);
+                    w.f64(stats.p90_s);
+                    w.f64(stats.p99_s);
+                }
+                None => w.u8(0),
+            }
+        }
+    }
+}
+
+/// Reads what [`put_delay`] wrote into `log`'s delay grid, one cell per
+/// recorded interval and path. A presence flag other than 0 or 1, or a
+/// present cell with zero samples, is a [`CodecError::BadValue`]; bounding
+/// the grid against the payload is the caller's.
+pub fn get_delay(r: &mut WireReader<'_>, log: &mut MeasurementLog) -> Result<(), CodecError> {
+    let mut rows = Vec::with_capacity(log.interval_count());
+    for _ in 0..log.interval_count() {
+        let mut row = Vec::with_capacity(log.path_count());
+        for _ in 0..log.path_count() {
+            row.push(match r.u8()? {
+                0 => None,
+                1 => {
+                    let count = r.vu()?;
+                    if count == 0 {
+                        return Err(CodecError::BadValue("delay cell with zero samples"));
+                    }
+                    Some(DelayStats {
+                        count,
+                        p50_s: r.f64()?,
+                        p90_s: r.f64()?,
+                        p99_s: r.f64()?,
+                    })
+                }
+                _ => return Err(CodecError::BadValue("delay cell presence flag")),
+            });
+        }
+        rows.push(row);
+    }
+    log.set_delay(rows);
+    Ok(())
+}
+
 /// Writes the `(sent vu, lost vu)` grid of intervals `range`, interval-major
 /// — the LOG section's rows and a segment's INTERVALS chunk.
 pub(crate) fn put_rows(w: &mut WireWriter, log: &MeasurementLog, range: Range<usize>) {
@@ -262,23 +315,7 @@ pub fn encode(set: &MeasurementSet) -> Vec<u8> {
         put_rows(w, log, 0..log.interval_count());
     });
     if set.log.has_delay() {
-        section(&mut w, TAG_DELAY, |w| {
-            let log = &set.log;
-            for t in 0..log.interval_count() {
-                for p in 0..log.path_count() {
-                    match log.delay(t, PathId(p)) {
-                        Some(stats) => {
-                            w.u8(1);
-                            w.vu(stats.count);
-                            w.f64(stats.p50_s);
-                            w.f64(stats.p90_s);
-                            w.f64(stats.p99_s);
-                        }
-                        None => w.u8(0),
-                    }
-                }
-            }
-        });
+        section(&mut w, TAG_DELAY, |w| put_delay(w, &set.log));
     }
     w.u8(TAG_END);
     let mut h = Fnv::new();
@@ -344,33 +381,7 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
     // DELAY (v2 only): the grid's dimensions are the LOG section's.
     if version == VERSION_V2 {
         expect_section(&mut r, TAG_DELAY)?;
-        let mut rows = Vec::with_capacity(n_intervals);
-        for _ in 0..n_intervals {
-            let mut row = Vec::with_capacity(n_paths);
-            for _ in 0..n_paths {
-                row.push(match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let count = r.vu()?;
-                        if count == 0 {
-                            return Err(CodecError::BadValue("delay cell with zero samples"));
-                        }
-                        let p50_s = r.f64()?;
-                        let p90_s = r.f64()?;
-                        let p99_s = r.f64()?;
-                        Some(DelayStats {
-                            count,
-                            p50_s,
-                            p90_s,
-                            p99_s,
-                        })
-                    }
-                    _ => return Err(CodecError::BadValue("delay cell presence flag")),
-                });
-            }
-            rows.push(row);
-        }
-        log.set_delay(rows);
+        get_delay(&mut r, &mut log)?;
     }
 
     // Trailer: end marker, then the checksum over everything before it.

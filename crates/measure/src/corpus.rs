@@ -47,12 +47,10 @@ impl Corpus {
     /// seed compared *numerically* — `s10` never precedes `s2`, even in
     /// legacy unpadded file names ([`entry_order_key`]).
     pub fn entries(&self) -> Result<Vec<CorpusEntry>, SourceError> {
-        let mut files: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == CORPUS_EXT))
-            .collect();
-        files.sort_by_key(|p| entry_order_key(p));
-        files.into_iter().map(CorpusEntry::open).collect()
+        list_in_order(&self.dir, &[CORPUS_EXT])?
+            .into_iter()
+            .map(CorpusEntry::open)
+            .collect()
     }
 
     /// Loads every entry eagerly, in entry order.
@@ -102,6 +100,20 @@ pub fn entry_order_key(path: &Path) -> (String, Option<u64>, String) {
         }
     }
     (name.clone(), None, name)
+}
+
+/// The files in `dir` with one of the extensions `exts`, in replay order
+/// ([`entry_order_key`]): the one directory listing behind
+/// [`Corpus::entries`], [`CorpusTail`](crate::CorpusTail) and
+/// [`RelaySource`](crate::RelaySource). Unreadable directory entries are
+/// skipped; an unreadable directory is the caller's to judge.
+pub(crate) fn list_in_order(dir: &Path, exts: &[&str]) -> std::io::Result<Vec<PathBuf>> {
+    let mut files: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|e| exts.iter().any(|x| e == *x)))
+        .collect();
+    files.sort_by_cached_key(|p| entry_order_key(p));
+    Ok(files)
 }
 
 /// One corpus file: provenance read eagerly (cheap prefix decode), the log

@@ -38,15 +38,17 @@ pub const JSONL_VERSION_V1: u64 = 1;
 /// The delay-carrying format version.
 pub const JSONL_VERSION_V2: u64 = 2;
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Escapes `s` for the inside of a JSON string: `"`, `\` and newline by
+/// their short escapes, every other control character as `\u00XX`. The one
+/// escaper behind this export, the service daemon's verdict lines and
+/// `nni-live`'s updates.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -77,10 +79,10 @@ pub fn to_jsonl(set: &MeasurementSet) -> String {
     out.push_str(&format!(
         "{{\"type\":\"meta\",\"version\":{version},\"scenario\":\"{}\",\
          \"fingerprint\":{},\"seed\":{},\"build\":\"{}\"}}\n",
-        esc(&p.scenario),
+        escape(&p.scenario),
         p.scenario_fingerprint,
         p.seed,
-        esc(&p.build),
+        escape(&p.build),
     ));
     for n in set.topology.nodes() {
         let kind = match n.kind {
@@ -89,7 +91,7 @@ pub fn to_jsonl(set: &MeasurementSet) -> String {
         };
         out.push_str(&format!(
             "{{\"type\":\"node\",\"kind\":\"{kind}\",\"name\":\"{}\"}}\n",
-            esc(&n.name)
+            escape(&n.name)
         ));
     }
     for l in set.topology.links() {
@@ -100,13 +102,13 @@ pub fn to_jsonl(set: &MeasurementSet) -> String {
             l.dst.index(),
             num(l.capacity_bps),
             num(l.delay_s),
-            esc(&l.name),
+            escape(&l.name),
         ));
     }
     for path in set.topology.paths() {
         out.push_str(&format!(
             "{{\"type\":\"path\",\"name\":\"{}\",\"links\":{}}}\n",
-            esc(path.name()),
+            escape(path.name()),
             u64_list(path.links().iter().map(|l| l.index() as u64)),
         ));
     }
@@ -222,6 +224,14 @@ mod tests {
         r#"{"type":"interval","t":2,"sent":[18446744073709551615],"lost":[0]}"#,
         "\n",
     );
+
+    #[test]
+    fn escape_writes_short_and_unicode_escapes() {
+        assert_eq!(
+            escape("a\"b\\c\nd\te\u{1}f ⟨g⟩"),
+            r#"a\"b\\c\nd\u0009e\u0001f ⟨g⟩"#
+        );
+    }
 
     #[test]
     fn round_trip_is_bit_identical() {

@@ -19,26 +19,27 @@
 //!   serializable bundle inference consumes), the [`MeasurementSource`]
 //!   trait, and the [`MeasurementCache`].
 //! * [`codec`] — the hand-rolled binary serialization of a measurement set
-//!   (no serde; the tree is vendored); [`jsonl`] — its write-only
-//!   JSON-lines export.
+//!   (no serde; the tree is vendored), and the field walks other codecs
+//!   share; [`jsonl`] — its write-only JSON-lines export, and the one JSON
+//!   string [`escape`](jsonl::escape) every JSON line in the tree goes
+//!   through.
 //! * [`corpus`] — on-disk corpora of encoded sets ([`Corpus`],
 //!   [`CorpusEntry`]).
 //! * [`interval`] — the one measurement-interval binning rule, shared with
 //!   the emulator's cached interval index.
-//! * [`stream`] — [`StreamingLog`] (closed-interval watermark) and
-//!   [`SlidingCounts`], the one Algorithm 2 engine: per-pathset counters
-//!   that batch inference folds over a whole log and streaming folds one
-//!   closed interval at a time (optional sliding window). Intervals fold
-//!   as packed bit masks, 64 to a word, and a pathset's count is the
-//!   popcount of its members' ANDed words.
+//! * [`stream`] — [`SlidingCounts`], the one Algorithm 2 engine:
+//!   per-pathset counters that batch inference folds over a whole log and
+//!   streaming folds one closed interval at a time (optional sliding
+//!   window). Intervals fold as packed bit masks, 64 to a word, and a
+//!   pathset's count is the popcount of its members' ANDed words.
 //! * [`segment`] — the append-friendly `.nniseg` on-disk segment format
 //!   ([`SegmentWriter`]/[`SegmentFollower`]): a codec-v1 header chunk plus
 //!   checksummed interval chunks, readable while being written, with
 //!   optional corrupt-chunk resync (skip to the next valid chunk and
 //!   report the loss as a [`SegmentGap`]).
 //! * [`tail`] — [`CorpusTail`], a poll-based watcher over a growing corpus
-//!   directory yielding complete entries, live segment intervals, and
-//!   resync gaps.
+//!   directory yielding complete entries (each event carries its decoded
+//!   set), live segment intervals, and resync gaps.
 //! * [`relay`] — the segment relay: [`RelaySource`] streams a directory's
 //!   raw `.nniseg` bytes as checksummed frames (over a socket), and
 //!   [`RemoteTail`] replays them through the same follower state machine
@@ -80,7 +81,7 @@ pub use segment::{
     SegmentWriter, MAX_CHUNK_BYTES, SEGMENT_EXT, VERSION as SEGMENT_VERSION,
     VERSION_V1 as SEGMENT_VERSION_V1,
 };
-pub use stream::{SlidingCounts, StreamError, StreamingLog};
+pub use stream::SlidingCounts;
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
     frame_bytes, read_frame, read_frame_v1, write_frame, FrameError, Sink, WireReader, WireWriter,

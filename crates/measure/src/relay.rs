@@ -46,7 +46,7 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::Duration;
 
 use crate::codec::CodecError;
-use crate::corpus::entry_order_key;
+use crate::corpus::list_in_order;
 use crate::segment::{SegmentFollower, SEGMENT_EXT};
 use crate::tail::{segment_event, TailEvent};
 use crate::wire::{frame_bytes, read_frame, FrameError, WireReader, WireWriter};
@@ -99,16 +99,11 @@ impl RelaySource {
     /// first spills), and a file that vanished mid-scan is skipped (its
     /// cursor survives in case it reappears).
     pub fn pump(&mut self, out: &mut impl Write) -> std::io::Result<usize> {
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(entries) => entries,
+        let files = match list_in_order(&self.dir, &[SEGMENT_EXT]) {
+            Ok(files) => files,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
         };
-        let mut files: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == SEGMENT_EXT))
-            .collect();
-        files.sort_by_key(|p| entry_order_key(p));
 
         let mut frames = 0;
         for path in files {
@@ -365,7 +360,7 @@ mod tests {
         events
             .iter()
             .map(|e| match e {
-                TailEvent::Entry(_) => "entry".into(),
+                TailEvent::Entry { .. } => "entry".into(),
                 TailEvent::SegmentHeader { set, .. } => {
                     format!("header seed={}", set.provenance.seed)
                 }

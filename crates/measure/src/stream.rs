@@ -1,6 +1,5 @@
-//! Streaming measurement state and the one Algorithm 2 engine:
-//! interval-at-a-time acquisition ([`StreamingLog`]) and the per-pathset
-//! counters every inference path folds through ([`SlidingCounts`]).
+//! The one Algorithm 2 engine: the per-pathset counters every inference
+//! path folds through ([`SlidingCounts`]).
 //!
 //! Batch inference folds a whole log in one call; streaming folds each
 //! closed interval as it arrives. Both give the same numbers because of
@@ -36,111 +35,6 @@ use std::ops::Range;
 use crate::normalize::{count_evals, indicator_column, perf_from_counts, NormalizeConfig};
 use crate::record::MeasurementLog;
 use nni_topology::PathId;
-
-/// Why a streaming append was refused.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamError {
-    /// An appended interval row had the wrong number of paths.
-    PathCountMismatch {
-        /// The log's path count.
-        ours: usize,
-        /// The row's length.
-        theirs: usize,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::PathCountMismatch { ours, theirs } => {
-                write!(f, "path count mismatch: log has {ours}, row has {theirs}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-/// A [`MeasurementLog`] with a close watermark: intervals below `closed()`
-/// are frozen (their Algorithm 2 columns may have been consumed).
-///
-/// Producers append whole pre-closed interval rows
-/// ([`append_interval`](StreamingLog::append_interval)) — the shape a
-/// segment tail delivers.
-#[derive(Debug, Clone)]
-pub struct StreamingLog {
-    log: MeasurementLog,
-    closed: usize,
-}
-
-impl StreamingLog {
-    /// An empty streaming log (no intervals, watermark zero).
-    pub fn new(n_paths: usize, interval_s: f64) -> StreamingLog {
-        StreamingLog {
-            log: MeasurementLog::new(n_paths, interval_s),
-            closed: 0,
-        }
-    }
-
-    /// Wraps an existing log with everything it currently holds open.
-    pub fn from_log(log: MeasurementLog) -> StreamingLog {
-        StreamingLog { log, closed: 0 }
-    }
-
-    /// The underlying log. Consumers must only trust intervals below
-    /// [`closed`](StreamingLog::closed).
-    pub fn log(&self) -> &MeasurementLog {
-        &self.log
-    }
-
-    /// Unwraps into the underlying log.
-    pub fn into_log(self) -> MeasurementLog {
-        self.log
-    }
-
-    /// Number of closed (frozen) intervals.
-    pub fn closed(&self) -> usize {
-        self.closed
-    }
-
-    /// Appends one already-closed interval: `sent[p]` / `lost[p]` per path.
-    /// The row lands at the watermark and moves it up by one. Returns the
-    /// interval index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the log holds open intervals (a
-    /// [`from_log`](StreamingLog::from_log) stream not yet
-    /// [`close_all`](StreamingLog::close_all)ed): the appended row would
-    /// not land at the watermark.
-    pub fn append_interval(&mut self, sent: &[u64], lost: &[u64]) -> Result<usize, StreamError> {
-        let n = self.log.path_count();
-        if sent.len() != n || lost.len() != n {
-            return Err(StreamError::PathCountMismatch {
-                ours: n,
-                theirs: if sent.len() != n {
-                    sent.len()
-                } else {
-                    lost.len()
-                },
-            });
-        }
-        let t = self.closed;
-        assert_eq!(
-            self.log.interval_count(),
-            t,
-            "append_interval needs every recorded interval closed"
-        );
-        self.log.push_interval(sent.to_vec(), lost.to_vec());
-        self.closed = t + 1;
-        Ok(t)
-    }
-
-    /// Closes everything currently recorded (end of stream).
-    pub fn close_all(&mut self) {
-        self.closed = self.log.interval_count();
-    }
-}
 
 #[derive(Debug, Clone)]
 struct SetState {
@@ -692,22 +586,6 @@ mod tests {
             NormalizeConfig::default(),
             None,
             [(&wide[..], &sets[..]), (&narrow[..], &sets[..])],
-        );
-    }
-
-    #[test]
-    fn append_interval_rows() {
-        let mut s = StreamingLog::new(2, 0.1);
-        assert_eq!(s.append_interval(&[5, 7], &[1, 0]), Ok(0));
-        assert_eq!(s.append_interval(&[0, 0], &[0, 0]), Ok(1));
-        assert_eq!(s.append_interval(&[3, 4], &[0, 2]), Ok(2));
-        assert_eq!(s.closed(), 3);
-        assert_eq!(s.log().interval_count(), 3);
-        assert_eq!(s.log().sent(2, PathId(1)), 4);
-        assert_eq!(s.log().lost(0, PathId(0)), 1);
-        assert_eq!(
-            s.append_interval(&[1, 2, 3], &[0, 0, 0]),
-            Err(StreamError::PathCountMismatch { ours: 2, theirs: 3 })
         );
     }
 }

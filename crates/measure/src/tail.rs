@@ -5,10 +5,12 @@
 //! ([`crate::corpus::entry_order_key`]):
 //!
 //! * **complete entries** (`.nniset`) — a whole measurement set landed
-//!   (e.g. `exp_corpus record --append` or a drain-mode daemon). Corpus
-//!   stores are not atomic, so a file that fails to decode is treated as
-//!   *still being written* and retried on later polls, up to a bounded
-//!   budget; only then is it reported corrupt.
+//!   (e.g. `exp_corpus record --append` or a drain-mode daemon). The tail
+//!   decodes each file in full, and the event carries the decoded set, so
+//!   a consumer never reads the file again (a re-record may be rewriting
+//!   it). Corpus stores are not atomic, so a file that fails to decode is
+//!   treated as *still being written* and retried on later polls, up to a
+//!   bounded budget; only then is it reported corrupt.
 //! * **segment traffic** (`.nniseg`) — a live producer is spilling closed
 //!   intervals as it runs ([`SegmentWriter`](crate::segment::SegmentWriter));
 //!   the tail surfaces the header once and every newly complete interval
@@ -20,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::corpus::{entry_order_key, CorpusEntry, CORPUS_EXT};
+use crate::corpus::{list_in_order, CORPUS_EXT};
 use crate::dataset::MeasurementSet;
 use crate::segment::{SegmentFollower, SegmentItem, SEGMENT_EXT};
 
@@ -34,8 +36,13 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 200;
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum TailEvent {
-    /// A complete corpus entry landed (decodes cleanly end to end).
-    Entry(CorpusEntry),
+    /// A complete corpus entry landed: it decoded cleanly end to end.
+    Entry {
+        /// The entry file.
+        path: PathBuf,
+        /// The decoded set.
+        set: MeasurementSet,
+    },
     /// A live segment's header became readable: the set's identity and
     /// interval grid, with an empty log.
     SegmentHeader {
@@ -121,17 +128,8 @@ impl CorpusTail {
     /// directory itself surface; per-file problems become
     /// [`TailEvent::Corrupt`] (after the retry budget, for entries).
     pub fn poll(&mut self) -> std::io::Result<Vec<TailEvent>> {
-        let mut files: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.extension()
-                    .is_some_and(|e| e == CORPUS_EXT || e == SEGMENT_EXT)
-            })
-            .collect();
-        files.sort_by_key(|p| entry_order_key(p));
-
         let mut events = Vec::new();
-        for path in files {
+        for path in list_in_order(&self.dir, &[CORPUS_EXT, SEGMENT_EXT])? {
             if self.done.contains(&path) {
                 continue;
             }
@@ -152,14 +150,11 @@ impl CorpusTail {
             .map_err(|e| e.to_string())
             .and_then(|bytes| crate::codec::decode(&bytes).map_err(|e| e.to_string()));
         match outcome {
-            Ok(_) => match CorpusEntry::open(&path) {
-                Ok(entry) => {
-                    self.pending.remove(&path);
-                    self.done.insert(path);
-                    events.push(TailEvent::Entry(entry));
-                }
-                Err(e) => self.entry_failed(path, e.to_string(), events),
-            },
+            Ok(set) => {
+                self.pending.remove(&path);
+                self.done.insert(path.clone());
+                events.push(TailEvent::Entry { path, set });
+            }
             Err(msg) => self.entry_failed(path, msg, events),
         }
     }
@@ -269,7 +264,7 @@ mod tests {
         let seeds: Vec<u64> = events
             .iter()
             .map(|e| match e {
-                TailEvent::Entry(entry) => entry.provenance().seed,
+                TailEvent::Entry { set, .. } => set.provenance.seed,
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();
@@ -293,7 +288,13 @@ mod tests {
         assert!(tail.poll().unwrap().is_empty(), "half-written: no event");
         fs::write(&path, &bytes).unwrap();
         let events = tail.poll().unwrap();
-        assert!(matches!(&events[..], [TailEvent::Entry(_)]));
+        match &events[..] {
+            [TailEvent::Entry { path: p, set: got }] => {
+                assert_eq!(p, &path);
+                assert_eq!(got, &set);
+            }
+            other => panic!("unexpected events {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

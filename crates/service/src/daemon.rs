@@ -35,6 +35,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use nni_measure::jsonl::escape;
 use nni_measure::wire::FrameError;
 use nni_measure::{Corpus, Fnv, MeasurementSet, RelaySource, SegmentWriter};
 use nni_scenario::fault::FaultPlan;
@@ -170,20 +171,6 @@ impl From<ProcessError> for ServiceError {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn job_name(path: &Path) -> String {
     path.file_name()
         .unwrap_or_default()
@@ -196,8 +183,8 @@ fn verdict_line(job: &Path, exp: &Experiment, out: &nni_scenario::ExperimentOutc
     format!(
         "{{\"type\":\"verdict\",\"job\":\"{}\",\"scenario\":\"{}\",\"seed\":{},\
          \"fingerprint\":\"{:016x}\",\"flagged\":{},\"correct\":{}}}",
-        esc(&job_name(job)),
-        esc(&s.name),
+        escape(&job_name(job)),
+        escape(&s.name),
         s.measurement.seed,
         s.measurement_fingerprint(),
         out.flagged_nonneutral,
@@ -296,7 +283,7 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
         ..DaemonSummary::default()
     };
     if !recovered.is_empty() {
-        let names: Vec<String> = recovered.iter().map(|p| esc(&job_name(p))).collect();
+        let names: Vec<String> = recovered.iter().map(|p| escape(&job_name(p))).collect();
         spool.append_verdict(&format!(
             "{{\"type\":\"recovered\",\"jobs\":{},\"files\":[\"{}\"]}}",
             recovered.len(),
@@ -361,13 +348,13 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
             };
             let reason = format!(
                 "{{\"kind\":\"undecodable\",\"error\":\"{}\"}}",
-                esc(&error.to_string())
+                escape(&error.to_string())
             );
             let parked = spool.park_failed_with_reason(&path, &reason)?;
             spool.append_verdict(&format!(
                 "{{\"type\":\"parked\",\"job\":\"{}\",\"reason\":\"undecodable\",\"error\":\"{}\"}}",
-                esc(&job_name(&parked)),
-                esc(&error.to_string()),
+                escape(&job_name(&parked)),
+                escape(&error.to_string()),
             ))?;
             summary.parked += 1;
         }
@@ -421,15 +408,15 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
                              \"last\":\"{}\"}}",
                             strike,
                             q.attempts,
-                            esc(&q.last.to_string()),
+                            escape(&q.last.to_string()),
                         );
                         let parked = spool.park_failed_with_reason(path, &reason)?;
                         spool.append_verdict(&format!(
                             "{{\"type\":\"parked\",\"job\":\"{}\",\"reason\":\"quarantined\",\
                              \"runs\":{},\"last\":\"{}\"}}",
-                            esc(&job_name(&parked)),
+                            escape(&job_name(&parked)),
                             strike,
-                            esc(&q.last.to_string()),
+                            escape(&q.last.to_string()),
                         ))?;
                         summary.parked += 1;
                         strikes.remove(&name);
@@ -441,10 +428,10 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
                         spool.append_verdict(&format!(
                             "{{\"type\":\"requeued\",\"job\":\"{}\",\"strike\":{},\
                              \"backoff_ms\":{},\"last\":\"{}\"}}",
-                            esc(&job_name(path)),
+                            escape(&job_name(path)),
                             strike,
                             delay.as_millis(),
-                            esc(&q.last.to_string()),
+                            escape(&q.last.to_string()),
                         ))?;
                     }
                 }
