@@ -366,6 +366,10 @@ pub fn identify_scores(plan: &IdentifyPlan, ys: &[Vec<f64>], cfg: Config) -> Inf
 /// so most non-subsets are rejected by one AND, and the union is an OR
 /// into one reused bitset.
 pub fn remove_redundant(nonneutral: &[LinkSeq], neutral: &[LinkSeq]) -> Vec<LinkSeq> {
+    // A neutral verdict: nothing to test, and no masks worth building.
+    if nonneutral.is_empty() {
+        return Vec::new();
+    }
     let all = || nonneutral.iter().chain(neutral);
     let links = all()
         .filter_map(|s| s.links().last())

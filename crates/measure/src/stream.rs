@@ -417,6 +417,24 @@ impl SlidingCounts {
             }
         }
     }
+
+    /// [`rebase`](SlidingCounts::rebase) under a new normalization config:
+    /// the counters go to zero, the registered structure (a function of the
+    /// slices alone) is kept, and the next
+    /// [`advance`](SlidingCounts::advance) folds from interval 0 under
+    /// `cfg`. A re-armed engine folds and reports exactly what a new engine
+    /// over the same slices and `cfg` would.
+    ///
+    /// This is what lets batch inference (`nni_scenario::infer`) keep one
+    /// engine across calls: its one-entry memo holds the last topology's
+    /// plan and unwindowed engine, keyed exactly by what the plan reads,
+    /// and re-arms that engine on a key match instead of rebuilding it. At
+    /// most one memoized plan is resident, and results do not depend on
+    /// which calls came before.
+    pub fn rearm(&mut self, cfg: NormalizeConfig) {
+        self.cfg = cfg;
+        self.rebase();
+    }
 }
 
 /// The set bits of `w`, a word of a `len`-interval chunk (bits `len..`
@@ -537,6 +555,45 @@ mod tests {
             inc.ys()[0][0],
             reference_y(&ind, &[1], 0, a.interval_count())
         );
+    }
+
+    /// A re-armed engine, windowed or not, folds exactly what a new one
+    /// under the new config does: a delay feature (one whole-log advance)
+    /// after a loss-only stream, and a loss threshold after that.
+    #[test]
+    fn rearm_equals_a_fresh_engine() {
+        let log = lossy_log(90);
+        let group = [PathId(0), PathId(1), PathId(2)];
+        let sets = [
+            PathSet::single(PathId(2)),
+            PathSet::pair(PathId(0), PathId(1)),
+            PathSet::new(vec![PathId(0), PathId(1), PathId(2)]),
+        ];
+        let loss_only = NormalizeConfig::default();
+        let delay = NormalizeConfig {
+            delay: Some(nni_core::DelayFeature::default()),
+            ..loss_only
+        };
+        let strict = NormalizeConfig {
+            loss_threshold: 0.03,
+            seed: 11,
+            ..loss_only
+        };
+        for window in [None, Some(20)] {
+            let engine = |cfg| SlidingCounts::new(cfg, window, [(&group[..], &sets[..])]);
+            let mut inc = engine(loss_only);
+            for through in 1..=log.interval_count() {
+                inc.advance(&log, through);
+            }
+            for cfg in [delay, strict] {
+                inc.rearm(cfg);
+                assert_eq!(inc.consumed(), 0);
+                let mut fresh = engine(cfg);
+                inc.advance(&log, log.interval_count());
+                fresh.advance(&log, log.interval_count());
+                assert_eq!(inc.ys(), fresh.ys(), "{cfg:?}, window {window:?}");
+            }
+        }
     }
 
     #[test]

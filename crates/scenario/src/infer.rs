@@ -8,11 +8,11 @@
 //! `infer(decode(encode(simulate())))` is bit-identical to the fused path
 //! (gated by `tests/corpus_roundtrip.rs`).
 
-use nni_core::{evaluate, identify_scores, Config, IdentifyPlan, InferenceResult, Quality};
+use nni_core::{evaluate, identify_scores, Config, InferenceResult, Quality};
 use nni_measure::{MeasurementSet, NormalizeConfig};
 
+use crate::memo::PLANS;
 use crate::spec::{Expectation, Scenario};
-use crate::stream::plan_counts;
 
 /// Everything the inference half needs beyond the measurements themselves.
 ///
@@ -78,6 +78,17 @@ impl Default for InferenceConfig {
 /// Deterministic in `(set, cfg)`: the normalization draw is seeded from the
 /// set's provenance seed XOR the config's salt, exactly as the fused path
 /// seeds it.
+///
+/// The slice plan and the engine's layout depend on the topology alone, so
+/// a process keeps the last ones it built in a one-entry memo, shared with
+/// [`StreamingInference`](crate::StreamingInference). Its key is exactly
+/// what the plan reads: `cfg.algorithm.min_pairs`, the link count and every
+/// path's link list. A call whose key matches re-arms the held engine
+/// ([`SlidingCounts::rearm`](nni_measure::SlidingCounts::rearm)) instead of
+/// building a plan; one whose key differs drops the held entry before it
+/// builds, so at most one memoized plan is resident. The result is the
+/// same whatever calls came before, on this thread or another: a
+/// concurrent call that finds the memo in use builds its own.
 pub fn infer(set: &MeasurementSet, cfg: &InferenceConfig) -> InferenceResult {
     infer_parts(&set.topology, &set.log, set.provenance.seed, cfg)
 }
@@ -91,10 +102,12 @@ pub(crate) fn infer_parts(
     seed: u64,
     cfg: &InferenceConfig,
 ) -> InferenceResult {
-    let plan = IdentifyPlan::new(topology, &cfg.algorithm);
-    let mut counts = plan_counts(&plan, cfg.normalize(seed), None);
+    let mut entry = PLANS.take(topology, &cfg.algorithm);
+    let (plan, counts) = entry.engine(cfg.normalize(seed));
     counts.advance(log, log.interval_count());
-    identify_scores(&plan, &counts.ys(), cfg.algorithm)
+    let result = identify_scores(plan, &counts.ys(), cfg.algorithm);
+    PLANS.put(entry);
+    result
 }
 
 /// One re-inference product: everything [`ExperimentOutcome`] reports except

@@ -95,6 +95,7 @@ pub mod fault;
 pub mod generate;
 pub mod infer;
 pub mod library;
+mod memo;
 pub mod process;
 pub mod proto;
 pub mod spec;

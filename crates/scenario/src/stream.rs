@@ -20,11 +20,14 @@
 //! `infer` over the log truncated to `T` intervals — checkable, and
 //! checked by `tests/streaming_convergence.rs`.
 
+use std::sync::Arc;
+
 use nni_core::{identify_scores, IdentifyPlan, InferenceResult};
 use nni_measure::{MeasurementLog, NormalizeConfig, SlidingCounts};
 use nni_topology::Topology;
 
 use crate::infer::InferenceConfig;
+use crate::memo::PLANS;
 
 /// The Algorithm 2 engine over every slice of `plan`: its
 /// [`ys`](SlidingCounts::ys) are in the layout [`identify_scores`] takes.
@@ -43,8 +46,9 @@ pub(crate) fn plan_counts(
 
 /// Incremental Algorithm 1 + 2 over a growing measurement log.
 ///
-/// Construction precomputes the slice plan and builds a [`SlidingCounts`]
-/// over every slice's normalization group and pathsets; each
+/// Construction takes the slice plan (shared with batch inference, see
+/// [`new`](StreamingInference::new)) and builds a [`SlidingCounts`] over
+/// every slice's normalization group and pathsets; each
 /// [`advance`](StreamingInference::advance) folds newly closed intervals
 /// into integer counters (one Algorithm 2 evaluation per group per
 /// interval — *not* a full recompute), and
@@ -53,13 +57,22 @@ pub(crate) fn plan_counts(
 #[derive(Debug, Clone)]
 pub struct StreamingInference {
     cfg: InferenceConfig,
-    plan: IdentifyPlan,
+    plan: Arc<IdentifyPlan>,
     counts: SlidingCounts,
 }
 
 impl StreamingInference {
     /// Full-history streaming state: verdicts converge to batch inference
     /// over the entire log.
+    ///
+    /// The slice plan comes from the one-entry memo [`infer`](crate::infer())
+    /// keeps, keyed exactly by what the plan reads (`min_pairs`, the link
+    /// count and every path's link list): a session and batch inference
+    /// over one topology share one plan, and a topology other than the
+    /// held one replaces it, so at most one memoized plan is resident. The
+    /// counters are this value's own, so verdicts do not depend on which
+    /// calls came before. [`windowed`](StreamingInference::windowed) takes
+    /// its plan the same way.
     pub fn new(topology: &Topology, seed: u64, cfg: &InferenceConfig) -> StreamingInference {
         StreamingInference::build(topology, seed, cfg, None)
     }
@@ -83,7 +96,9 @@ impl StreamingInference {
         cfg: &InferenceConfig,
         window: Option<usize>,
     ) -> StreamingInference {
-        let plan = IdentifyPlan::new(topology, &cfg.algorithm);
+        let entry = PLANS.take(topology, &cfg.algorithm);
+        let plan = Arc::clone(entry.plan());
+        PLANS.put(entry);
         // Streaming inference is loss-only by design: the joint indicator's
         // delay baseline is a min over the *whole* log (and per-interval
         // percentiles are order statistics, so they cannot be folded
