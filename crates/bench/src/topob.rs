@@ -82,14 +82,13 @@ pub fn derive_outcome(scenario: &Scenario, out: ExperimentOutcome) -> TopologyBO
     let c2 = &paper.classes[1];
     let tagged_estimates: Vec<_> = out
         .inference
-        .verdicts
-        .iter()
+        .verdicts()
         .map(|v| {
             let tags: Vec<TaggedEstimate> = v
-                .estimates
+                .pairs
                 .iter()
-                .map(|e| {
-                    let (a, b) = e.pair;
+                .zip(v.estimates)
+                .map(|(&[a, b], &estimate)| {
                     let pure_class = if c1.contains(&a) && c1.contains(&b) {
                         Some(0)
                     } else if c2.contains(&a) && c2.contains(&b) {
@@ -98,8 +97,8 @@ pub fn derive_outcome(scenario: &Scenario, out: ExperimentOutcome) -> TopologyBO
                         None
                     };
                     TaggedEstimate {
-                        pair: e.pair,
-                        estimate: e.estimate,
+                        pair: (a, b),
+                        estimate,
                         pure_class,
                     }
                 })

@@ -55,7 +55,7 @@ pub mod slice;
 
 pub use algorithm::{
     identify, identify_scores, remove_redundant, Config, DecisionMode, IdentifyPlan,
-    InferenceResult, PairEstimate, SliceVerdict,
+    InferenceResult, SliceScores, SliceVerdict,
 };
 pub use class::{ClassError, Classes};
 pub use equivalent::{EquivalentNetwork, VirtualLink, VirtualRole};

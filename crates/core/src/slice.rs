@@ -26,7 +26,6 @@
 //! its `τ` and two ranges into them. A plan of ~1k slices is then three
 //! arrays and ~1k link sequences.
 
-use crate::algorithm::PairEstimate;
 use nni_linalg::Matrix;
 use nni_topology::{LinkId, LinkSeq, PathId, Topology};
 use std::collections::HashMap;
@@ -205,27 +204,27 @@ impl Slice {
         spread(&self.pair_estimates(y))
     }
 
-    /// [`pair_estimates`](Slice::pair_estimates) labelled with their pairs,
-    /// built in one pass that also folds the running max and min: returns
-    /// the estimates, their [`unsolvability`](Slice::unsolvability), and
-    /// whether any estimate is NaN.
-    pub(crate) fn estimates(&self, y: &[f64]) -> (Vec<PairEstimate>, f64, bool) {
+    /// [`pair_estimates`](Slice::pair_estimates) written into `out` (one
+    /// entry per pair) in one pass that also folds the running max and min:
+    /// returns their [`unsolvability`](Slice::unsolvability) and whether
+    /// any estimate is NaN.
+    pub(crate) fn score_into(&self, y: &[f64], out: &mut [f64]) -> (f64, bool) {
         let (mut max, mut min, mut nan) = (f64::NEG_INFINITY, f64::INFINITY, false);
-        let estimates = self
-            .pairs()
-            .iter()
-            .zip(self.estimate_iter(y))
-            .map(|(&[a, b], estimate)| {
-                max = max.max(estimate);
-                min = min.min(estimate);
-                nan |= estimate.is_nan();
-                PairEstimate {
-                    pair: (a, b),
-                    estimate,
-                }
-            })
-            .collect();
-        (estimates, (max - min).max(0.0), nan)
+        for (slot, estimate) in out.iter_mut().zip(self.estimate_iter(y)) {
+            max = max.max(estimate);
+            min = min.min(estimate);
+            nan |= estimate.is_nan();
+            *slot = estimate;
+        }
+        ((max - min).max(0.0), nan)
+    }
+
+    /// This slice's entries of its store's pairs. The slices of one
+    /// enumeration lay their pairs end to end in slice order from 0, so in
+    /// a plan this is also the slice's run of every per-pair array kept in
+    /// plan order.
+    pub(crate) fn pair_span(&self) -> Range<usize> {
+        self.pairs.clone()
     }
 
     /// Each pair's `y_i + y_j − y_{ij}`, in [`pairs`](Slice::pairs) order.

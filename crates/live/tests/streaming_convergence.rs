@@ -1,7 +1,9 @@
 //! The streaming-convergence gate: online inference must land on
 //! *bit-identical* verdicts to batch inference — across the curated
 //! 14-scenario identity suite AND the 24-scenario randomized invariant
-//! population — and the incremental path must actually be incremental:
+//! population — its kept scores, rescored only where counters moved, must
+//! equal scoring every slice afresh at every watermark (windowed, and
+//! across a rebase), and the incremental path must actually be incremental:
 //! ≥3× faster than re-running a full recompute per closed interval over a
 //! 60-interval window, with the advantage proven structurally by the
 //! Algorithm 2 evaluation probe, not just by wall clock.
@@ -11,10 +13,13 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use nni_core::InferenceResult;
-use nni_measure::{interval_eval_count, MeasurementLog, MeasurementSet};
+use nni_core::{identify_scores, IdentifyPlan, InferenceResult};
+use nni_measure::{
+    interval_eval_count, MeasurementLog, MeasurementSet, NormalizeConfig, SlidingCounts,
+};
 use nni_scenario::library::{identity_suite, topology_a_scenario, ExperimentParams, Mechanism};
 use nni_scenario::{infer, InferenceConfig, Scenario, ScenarioGen, StreamingInference};
+use nni_topogen::{isp_scenario, IspParams};
 use nni_topology::PathId;
 
 /// The Algorithm 2 evaluation probe is process-global, so every test in
@@ -81,6 +86,157 @@ fn randomized_population_streams_to_batch_fingerprints() {
     for scenario in &population {
         assert_streams_to_batch(scenario);
     }
+}
+
+/// A fresh Algorithm 2 engine over every slice of `plan`, under `set`'s
+/// seed and `cfg`, with `delay` as the feature.
+fn fresh_counts(
+    plan: &IdentifyPlan,
+    set: &MeasurementSet,
+    cfg: &InferenceConfig,
+    delay: Option<nni_core::DelayFeature>,
+    window: Option<usize>,
+) -> SlidingCounts {
+    let ncfg = NormalizeConfig {
+        loss_threshold: cfg.loss_threshold,
+        seed: set.provenance.seed ^ cfg.normalize_salt,
+        delay,
+    };
+    let slices = plan
+        .slices()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (plan.group(i), s.theta()));
+    SlidingCounts::new(ncfg, window, slices)
+}
+
+/// `got` equals scoring every slice of `plan` afresh from `counts`.
+fn assert_full_rescore(
+    got: &InferenceResult,
+    plan: &IdentifyPlan,
+    counts: &SlidingCounts,
+    cfg: &InferenceConfig,
+    what: &str,
+) {
+    let want = identify_scores(plan, &counts.ys(), cfg.algorithm);
+    assert_eq!(got, &want, "{what}");
+    assert_eq!(got.fingerprint(), want.fingerprint(), "{what}");
+}
+
+/// Topology B with three policers and with two (the identity suite's
+/// members), and a generated small ISP, whose slices no informative
+/// interval reaches.
+fn rescore_sets() -> Vec<(MeasurementSet, InferenceConfig)> {
+    let suite = identity_suite();
+    let isp = isp_scenario(&IspParams::small(), 8.0, 1);
+    let scenarios = [&suite[3], &suite[4], &isp];
+    assert!(
+        scenarios[0].name.contains("topology-b"),
+        "{}",
+        scenarios[0].name
+    );
+    assert!(scenarios[1].name.contains("dual"), "{}", scenarios[1].name);
+    scenarios
+        .iter()
+        .map(|s| (s.compile().simulate(), InferenceConfig::of(s)))
+        .collect()
+}
+
+#[test]
+fn kept_scores_equal_a_full_rescore() {
+    let _guard = EVAL_GUARD.lock().unwrap();
+    let mut flagged = 0;
+    for (set, cfg) in rescore_sets() {
+        let plan = IdentifyPlan::new(&set.topology, &cfg.algorithm);
+        let (seed, t_max) = (set.provenance.seed, set.log.interval_count());
+        assert!(t_max >= 8, "{} intervals", t_max);
+        // Unwindowed, then a window of half the log: from its second half
+        // on, evictions move groups.
+        for window in [None, Some(t_max / 2)] {
+            let mut live = match window {
+                None => StreamingInference::new(&set.topology, seed, &cfg),
+                Some(w) => StreamingInference::windowed(&set.topology, seed, &cfg, w),
+            };
+            let mut counts = fresh_counts(&plan, &set, &cfg, None, window);
+            for t in 1..=t_max {
+                live.advance(&set.log, t);
+                counts.advance(&set.log, t);
+                let verdict = live.verdict();
+                flagged += usize::from(verdict.network_is_nonneutral());
+                let what = format!(
+                    "{}, window {window:?}, watermark {t}",
+                    set.provenance.scenario
+                );
+                assert_full_rescore(&verdict, &plan, &counts, &cfg, &what);
+            }
+        }
+
+        // A rebase over a merged log: the odd intervals arrive as a second
+        // vantage after the even ones were consumed.
+        let n = set.log.path_count();
+        let mut even = MeasurementLog::new(n, set.log.interval_s());
+        let mut odd = MeasurementLog::new(n, set.log.interval_s());
+        for t in 0..t_max {
+            let (mine, other) = if t % 2 == 0 {
+                (&mut even, &mut odd)
+            } else {
+                (&mut odd, &mut even)
+            };
+            for p in (0..n).map(PathId) {
+                mine.record_sent(t, p, set.log.sent(t, p));
+                mine.record_lost(t, p, set.log.lost(t, p));
+            }
+            other.record_sent(t, PathId(0), 0);
+        }
+        let mut live = StreamingInference::new(&set.topology, seed, &cfg);
+        let mut counts = fresh_counts(&plan, &set, &cfg, None, None);
+        live.advance(&even, t_max);
+        counts.advance(&even, t_max);
+        let what = format!("{}, even intervals", set.provenance.scenario);
+        assert_full_rescore(&live.verdict(), &plan, &counts, &cfg, &what);
+        even.merge(&odd).unwrap();
+        assert_eq!(even, set.log, "the vantage split loses nothing");
+        live.rebase();
+        counts.rebase();
+        live.advance(&even, t_max);
+        counts.advance(&even, t_max);
+        let what = format!("{}, rebased over the merged log", set.provenance.scenario);
+        assert_full_rescore(&live.verdict(), &plan, &counts, &cfg, &what);
+        // A rebase onto a log in which nothing was sent: every slice
+        // returns to the scores of no informative interval.
+        let mut silent = MeasurementLog::new(n, set.log.interval_s());
+        for t in 0..t_max {
+            silent.record_sent(t, PathId(0), 0);
+        }
+        live.rebase();
+        counts.rebase();
+        live.advance(&silent, t_max);
+        counts.advance(&silent, t_max);
+        let what = format!("{}, rebased onto silence", set.provenance.scenario);
+        assert_full_rescore(&live.verdict(), &plan, &counts, &cfg, &what);
+
+        // Batch `infer` re-arms the memoized engine and its scores under
+        // another loss threshold: the result is a fresh engine's.
+        infer(&set, &cfg);
+        let strict = InferenceConfig {
+            loss_threshold: cfg.loss_threshold * 2.0,
+            ..cfg
+        };
+        let mut counts = fresh_counts(&plan, &set, &strict, strict.delay, None);
+        counts.advance(&set.log, t_max);
+        let what = format!("{}, re-armed", set.provenance.scenario);
+        assert_full_rescore(&infer(&set, &strict), &plan, &counts, &strict, &what);
+        // Then a set of the same topology in which nothing was sent.
+        let silent = MeasurementSet {
+            log: silent,
+            ..set.clone()
+        };
+        let mut counts = fresh_counts(&plan, &silent, &cfg, cfg.delay, None);
+        counts.advance(&silent.log, t_max);
+        let what = format!("{}, re-armed onto silence", set.provenance.scenario);
+        assert_full_rescore(&infer(&silent, &cfg), &plan, &counts, &cfg, &what);
+    }
+    assert!(flagged > 0, "some watermark flags a policer");
 }
 
 /// A policing run with exactly 60 post-warmup intervals — the window the

@@ -26,7 +26,9 @@
 //! one "sent anything" word per registered path; a group's informative
 //! word is the AND of its paths' words, its indicators are evaluated only
 //! at the set bits, and a chunk whose word is zero leaves the group's
-//! pathsets untouched.
+//! pathsets untouched. An advance records which groups it changed, so a
+//! caller that keeps scores derived from the counters recomputes only
+//! those groups' slices.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -80,6 +82,8 @@ struct GroupState {
     /// Informative intervals counted: the same for every pathset of the
     /// group, because informativeness is a property of the whole column.
     informative: usize,
+    /// Whether the last advance changed this group's counters.
+    moved: bool,
     /// Windowed mode only: the last `W` intervals' bits, one row of
     /// `⌈W/64⌉` words per group path (congestion-free) plus a last row for
     /// informativeness; interval `t` sits at bit `t % W` of each row
@@ -185,6 +189,7 @@ impl SlidingCounts {
                     spill: Vec::new(),
                     sets: Vec::new(),
                     informative: 0,
+                    moved: false,
                     ring: vec![0; (paths.len() + 1) * row_words],
                 });
                 groups.len() - 1
@@ -264,6 +269,11 @@ impl SlidingCounts {
     /// counts, whether the group's indicators were evaluated or skipped
     /// for want of a common packet budget.
     ///
+    /// It also records which groups' counters changed (see
+    /// [`moved_slices`](SlidingCounts::moved_slices)): those that folded an
+    /// informative chunk, or whose window evicted informative bits. Every
+    /// other group's counters, and so its `y`, are as they were.
+    ///
     /// # Panics
     ///
     /// Panics past the recorded log or below the consumed prefix. With a
@@ -315,6 +325,7 @@ impl SlidingCounts {
         let mut words = vec![0u64; width.unwrap_or(0)];
         let mut baselines = Vec::new();
         for g in &mut self.groups {
+            g.moved = false;
             let col = &mut col[..g.paths.len()];
             let words = &mut words[..g.paths.len()];
             baselines.clear();
@@ -355,6 +366,7 @@ impl SlidingCounts {
                         s.cf += s.and_count(words, &g.spill, len);
                     }
                     g.informative += ones(informative, len);
+                    g.moved = true;
                 }
                 if let Some(w) = self.window {
                     let t = ts.start;
@@ -376,6 +388,7 @@ impl SlidingCounts {
                     // Every evicted congestion-free bit lies inside the
                     // evicted informative word.
                     if t >= w && evicted != 0 {
+                        g.moved = true;
                         g.informative -= ones(evicted, len);
                         for s in &mut g.sets {
                             s.cf -= s.and_count(words, &g.spill, len);
@@ -391,16 +404,35 @@ impl SlidingCounts {
     /// pathset, per slice in construction order — the layout
     /// `nni_core::identify_scores` takes.
     pub fn ys(&self) -> Vec<Vec<f64>> {
-        self.slices
-            .iter()
-            .map(|(g, sets)| {
-                let g = &self.groups[*g];
-                g.sets[sets.clone()]
-                    .iter()
-                    .map(|s| perf_from_counts(s.cf as usize, g.informative))
-                    .collect()
+        (0..self.slices.len())
+            .map(|i| {
+                let mut y = Vec::new();
+                self.y(i, &mut y);
+                y
             })
             .collect()
+    }
+
+    /// Slice `i`'s performance numbers (its row of [`ys`](SlidingCounts::ys)),
+    /// written over `y`.
+    pub fn y(&self, i: usize, y: &mut Vec<f64>) {
+        let (g, sets) = &self.slices[i];
+        let g = &self.groups[*g];
+        y.clear();
+        y.extend(
+            g.sets[sets.clone()]
+                .iter()
+                .map(|s| perf_from_counts(s.cf as usize, g.informative)),
+        );
+    }
+
+    /// The slices, in construction order, whose group's counters the last
+    /// [`advance`](SlidingCounts::advance) changed: only their `y` can
+    /// differ from before it. None after a
+    /// [`rebase`](SlidingCounts::rebase) or
+    /// [`rearm`](SlidingCounts::rearm).
+    pub fn moved_slices(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slices.len()).filter(|&i| self.groups[self.slices[i].0].moved)
     }
 
     /// Forgets every consumed interval but keeps the registered structure —
@@ -412,6 +444,7 @@ impl SlidingCounts {
         self.consumed = 0;
         for g in &mut self.groups {
             g.informative = 0;
+            g.moved = false;
             for s in &mut g.sets {
                 s.cf = 0;
             }
@@ -594,6 +627,59 @@ mod tests {
                 assert_eq!(inc.ys(), fresh.ys(), "{cfg:?}, window {window:?}");
             }
         }
+    }
+
+    /// A group moves when a chunk it folds is informative or its window
+    /// evicts informative bits, and not otherwise.
+    #[test]
+    fn advance_reports_the_groups_it_moved() {
+        // Paths 0 and 1 send in every interval; path 2 only in 0..4.
+        let mut log = MeasurementLog::new(3, 0.1);
+        for t in 0..12 {
+            for p in 0..3 {
+                if p < 2 || t < 4 {
+                    log.record_sent(t, PathId(p), 100);
+                    log.record_lost(t, PathId(p), (t % 3) as u64);
+                }
+            }
+        }
+        let busy = [PathId(0), PathId(1)];
+        let quiet = [PathId(1), PathId(2)];
+        let sets = [PathSet::single(PathId(1))];
+        let slices = [(&busy[..], &sets[..]), (&quiet[..], &sets[..])];
+        let moved = |counts: &SlidingCounts| counts.moved_slices().collect::<Vec<_>>();
+
+        let mut all = SlidingCounts::new(NormalizeConfig::default(), None, slices);
+        for through in 1..=12 {
+            all.advance(&log, through);
+            let want = if through <= 4 { vec![0, 1] } else { vec![0] };
+            assert_eq!(moved(&all), want, "unwindowed, through {through}");
+        }
+        all.advance(&log, 12);
+        assert_eq!(moved(&all), Vec::<usize>::new(), "an empty advance");
+
+        // A 4-interval window: intervals 4..8 evict the informative 0..4,
+        // intervals 8.. evict the uninformative 4..8.
+        let mut win = SlidingCounts::new(NormalizeConfig::default(), Some(4), slices);
+        for through in 1..=12 {
+            win.advance(&log, through);
+            let want = if through <= 8 { vec![0, 1] } else { vec![0] };
+            assert_eq!(moved(&win), want, "window 4, through {through}");
+        }
+        win.rebase();
+        assert_eq!(
+            moved(&win),
+            Vec::<usize>::new(),
+            "nothing moved since the rebase"
+        );
+        // One chunk that folds nothing informative for `quiet` but evicts
+        // its informative bits still moves it.
+        let mut win = SlidingCounts::new(NormalizeConfig::default(), Some(4), slices);
+        win.advance(&log, 4);
+        win.advance(&log, 8);
+        assert_eq!(moved(&win), vec![0, 1]);
+        win.advance(&log, 12);
+        assert_eq!(moved(&win), vec![0]);
     }
 
     #[test]

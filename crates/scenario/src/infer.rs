@@ -8,7 +8,7 @@
 //! `infer(decode(encode(simulate())))` is bit-identical to the fused path
 //! (gated by `tests/corpus_roundtrip.rs`).
 
-use nni_core::{evaluate, identify_scores, Config, InferenceResult, Quality};
+use nni_core::{evaluate, Config, InferenceResult, Quality};
 use nni_measure::{MeasurementSet, NormalizeConfig};
 
 use crate::memo::PLANS;
@@ -74,7 +74,9 @@ impl Default for InferenceConfig {
 /// inference half of [`Experiment::run`](crate::Experiment::run).
 ///
 /// Algorithm 2 is one whole-log fold of the engine
-/// [`StreamingInference`](crate::StreamingInference) folds per interval.
+/// [`StreamingInference`](crate::StreamingInference) folds per interval,
+/// and, as there, only the slices whose counters the fold moved are
+/// scored before the decision.
 /// Deterministic in `(set, cfg)`: the normalization draw is seeded from the
 /// set's provenance seed XOR the config's salt, exactly as the fused path
 /// seeds it.
@@ -103,9 +105,9 @@ pub(crate) fn infer_parts(
     cfg: &InferenceConfig,
 ) -> InferenceResult {
     let mut entry = PLANS.take(topology, &cfg.algorithm);
-    let (plan, counts) = entry.engine(cfg.normalize(seed));
-    counts.advance(log, log.interval_count());
-    let result = identify_scores(plan, &counts.ys(), cfg.algorithm);
+    let engine = entry.engine(cfg.normalize(seed), cfg.algorithm.mode);
+    engine.advance(log, log.interval_count());
+    let result = engine.verdict();
     PLANS.put(entry);
     result
 }

@@ -5,7 +5,8 @@
 //! run of re-inferences over one topology — threshold sweeps, another set
 //! recorded on it, a live session's batch check — needs its
 //! [`IdentifyPlan`] and the layout of its Algorithm 2 engine only once.
-//! The memo holds the last topology's plan and unwindowed engine:
+//! The memo holds the last topology's plan and unwindowed engine (its
+//! counters and the slices' scores):
 //!
 //! * **One entry.** A call on another topology drops the held entry before
 //!   it builds, so at most one memoized plan is resident.
@@ -13,7 +14,9 @@
 //!   list: everything [`IdentifyPlan::new`] reads, compared in full, so a
 //!   hit can never serve a plan built for a different topology.
 //! * **Results independent of history.** A hit re-arms the engine
-//!   ([`SlidingCounts::rearm`]), which leaves it exactly as a fresh build.
+//!   ([`SlidingCounts::rearm`](nni_measure::SlidingCounts::rearm),
+//!   [`SliceScores::rearm`](nni_core::SliceScores::rearm)), which leaves it
+//!   exactly as a fresh build.
 //!
 //! A caller takes the entry out of the slot and puts it back when done; a
 //! concurrent caller that finds the slot empty builds its own, and never
@@ -21,11 +24,11 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use nni_core::{Config, IdentifyPlan};
-use nni_measure::{NormalizeConfig, SlidingCounts};
+use nni_core::{Config, DecisionMode, IdentifyPlan};
+use nni_measure::NormalizeConfig;
 use nni_topology::{LinkId, Topology};
 
-use crate::stream::plan_counts;
+use crate::stream::PlanEngine;
 
 /// What [`IdentifyPlan::new`] reads of a topology and config.
 #[derive(Debug)]
@@ -73,7 +76,7 @@ impl PlanKey {
 pub(crate) struct Entry {
     key: PlanKey,
     plan: Arc<IdentifyPlan>,
-    counts: Option<SlidingCounts>,
+    engine: Option<PlanEngine>,
 }
 
 impl Entry {
@@ -81,7 +84,7 @@ impl Entry {
         Entry {
             key: PlanKey::new(topology, cfg.min_pairs),
             plan: Arc::new(IdentifyPlan::new(topology, cfg)),
-            counts: None,
+            engine: None,
         }
     }
 
@@ -90,14 +93,14 @@ impl Entry {
         &self.plan
     }
 
-    /// The plan and its unwindowed engine, armed for `cfg` with nothing
-    /// consumed (the engine is built on first use).
-    pub(crate) fn engine(&mut self, cfg: NormalizeConfig) -> (&IdentifyPlan, &mut SlidingCounts) {
-        let counts = self
-            .counts
-            .get_or_insert_with(|| plan_counts(&self.plan, cfg, None));
-        counts.rearm(cfg);
-        (&self.plan, counts)
+    /// The plan's unwindowed engine, armed for `cfg` and `mode` with
+    /// nothing consumed (the engine is built on first use).
+    pub(crate) fn engine(&mut self, cfg: NormalizeConfig, mode: DecisionMode) -> &mut PlanEngine {
+        let engine = self
+            .engine
+            .get_or_insert_with(|| PlanEngine::new(&self.plan, cfg, mode, None));
+        engine.rearm(cfg, mode);
+        engine
     }
 }
 

@@ -11,10 +11,13 @@
 //!    count and its group's informative interval count) accumulated
 //!    exactly once per interval — integer addition in arrival order equals
 //!    a whole-log fold;
-//! 3. the performance numbers and everything after them (pair estimates,
-//!    unsolvability, 2-means, redundancy removal) are pure functions
-//!    re-run from those integers through the *same* code path batch
-//!    inference uses ([`identify_scores`] over the same [`IdentifyPlan`]).
+//! 3. the performance numbers and everything after them are pure functions
+//!    of those integers, computed by the *same* code batch inference runs
+//!    over the same [`IdentifyPlan`]: a slice's scores (pair estimates,
+//!    unsolvability) by [`SliceScores::score`] from its `y`, then 2-means
+//!    and redundancy removal by [`SliceScores::decide`]. A slice's scores
+//!    are rescored whenever its group's counters move; a slice whose
+//!    counters did not move has the `y`, and so the scores, it had.
 //!
 //! So at every watermark `T`, [`StreamingInference::verdict`] equals
 //! `infer` over the log truncated to `T` intervals — checkable, and
@@ -22,43 +25,97 @@
 
 use std::sync::Arc;
 
-use nni_core::{identify_scores, IdentifyPlan, InferenceResult};
+use nni_core::{DecisionMode, IdentifyPlan, InferenceResult, SliceScores};
 use nni_measure::{MeasurementLog, NormalizeConfig, SlidingCounts};
 use nni_topology::Topology;
 
 use crate::infer::InferenceConfig;
 use crate::memo::PLANS;
 
-/// The Algorithm 2 engine over every slice of `plan`: its
-/// [`ys`](SlidingCounts::ys) are in the layout [`identify_scores`] takes.
-pub(crate) fn plan_counts(
-    plan: &IdentifyPlan,
-    cfg: NormalizeConfig,
-    window: Option<usize>,
-) -> SlidingCounts {
-    let slices = plan
-        .slices()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (plan.group(i), s.theta()));
-    SlidingCounts::new(cfg, window, slices)
+/// The Algorithm 2 engine over every slice of a plan, and the slices'
+/// scores kept current with its counters: each
+/// [`advance`](PlanEngine::advance) rescores only the slices whose group's
+/// counters it moved. The scores start, and return on a rebase or re-arm,
+/// at what a slice with no informative interval scores, which is what
+/// every slice with zeroed counters has.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanEngine {
+    counts: SlidingCounts,
+    scores: SliceScores,
+    /// One slice's `y`, reused across rescorings.
+    y: Vec<f64>,
+}
+
+impl PlanEngine {
+    pub(crate) fn new(
+        plan: &IdentifyPlan,
+        cfg: NormalizeConfig,
+        mode: DecisionMode,
+        window: Option<usize>,
+    ) -> PlanEngine {
+        let slices = plan
+            .slices()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (plan.group(i), s.theta()));
+        PlanEngine {
+            counts: SlidingCounts::new(cfg, window, slices),
+            scores: SliceScores::new(plan, mode),
+            y: Vec::new(),
+        }
+    }
+
+    /// Folds closed intervals `consumed..through` of `log` and rescores
+    /// the slices whose counters moved.
+    pub(crate) fn advance(&mut self, log: &MeasurementLog, through: usize) {
+        let PlanEngine { counts, scores, y } = self;
+        counts.advance(log, through);
+        for i in counts.moved_slices() {
+            counts.y(i, y);
+            scores.score(i, y);
+        }
+    }
+
+    /// Forgets every consumed interval.
+    pub(crate) fn rebase(&mut self) {
+        self.counts.rebase();
+        self.scores.rebase();
+    }
+
+    /// Forgets every consumed interval; the next advance folds under `cfg`
+    /// and the verdict decides under `mode`.
+    pub(crate) fn rearm(&mut self, cfg: NormalizeConfig, mode: DecisionMode) {
+        self.counts.rearm(cfg);
+        self.scores.rearm(mode);
+    }
+
+    pub(crate) fn consumed(&self) -> usize {
+        self.counts.consumed()
+    }
+
+    /// Algorithm 1's decision over the current scores.
+    pub(crate) fn verdict(&self) -> InferenceResult {
+        self.scores.decide()
+    }
 }
 
 /// Incremental Algorithm 1 + 2 over a growing measurement log.
 ///
 /// Construction takes the slice plan (shared with batch inference, see
 /// [`new`](StreamingInference::new)) and builds a [`SlidingCounts`] over
-/// every slice's normalization group and pathsets; each
-/// [`advance`](StreamingInference::advance) folds newly closed intervals
-/// into integer counters (one Algorithm 2 evaluation per group per
-/// interval — *not* a full recompute), and
-/// [`verdict`](StreamingInference::verdict) re-runs only the cheap
-/// decision half.
+/// every slice's normalization group and pathsets, with a [`SliceScores`]
+/// beside it. Each [`advance`](StreamingInference::advance) folds newly
+/// closed intervals into integer counters (one Algorithm 2 evaluation per
+/// group per interval — *not* a full recompute) and rescores only the
+/// slices whose group's counters moved: a group folded an informative
+/// interval, or its window evicted one. Every other slice's `y` is what it
+/// was, so its scores are too, and the kept scores equal scoring every
+/// slice afresh; [`verdict`](StreamingInference::verdict) runs only the
+/// decision over them, so it still equals batch inference. A slice never
+/// observed keeps the scores of an all-zero `y`, which both paths give it.
 #[derive(Debug, Clone)]
 pub struct StreamingInference {
-    cfg: InferenceConfig,
-    plan: Arc<IdentifyPlan>,
-    counts: SlidingCounts,
+    engine: PlanEngine,
 }
 
 impl StreamingInference {
@@ -109,26 +166,24 @@ impl StreamingInference {
             delay: None,
             ..cfg.normalize(seed)
         };
-        let counts = plan_counts(&plan, ncfg, window);
         StreamingInference {
-            cfg: *cfg,
-            plan,
-            counts,
+            engine: PlanEngine::new(&plan, ncfg, cfg.algorithm.mode, window),
         }
     }
 
     /// Intervals consumed so far (the verdict watermark).
     pub fn consumed(&self) -> usize {
-        self.counts.consumed()
+        self.engine.consumed()
     }
 
     /// Folds closed intervals `consumed..through` of `log` into the
-    /// counters. `log` must be the same measurement stream across calls
-    /// (same interval grid and path order); already-consumed intervals
-    /// must not have changed — if they have (a multi-vantage merge),
+    /// counters and rescores the slices whose counters moved. `log` must
+    /// be the same measurement stream across calls (same interval grid and
+    /// path order); already-consumed intervals must not have changed — if
+    /// they have (a multi-vantage merge),
     /// [`rebase`](StreamingInference::rebase) first.
     pub fn advance(&mut self, log: &MeasurementLog, through: usize) {
-        self.counts.advance(log, through);
+        self.engine.advance(log, through);
     }
 
     /// Forgets all consumed intervals, keeping the precomputed plan and
@@ -137,15 +192,14 @@ impl StreamingInference {
     /// the merged log, landing on exactly the verdict batch inference
     /// computes over it.
     pub fn rebase(&mut self) {
-        self.counts.rebase();
+        self.engine.rebase();
     }
 
-    /// The current verdict: Algorithm 1's decision half over the
-    /// accumulated counters. At watermark `T` (unwindowed) this is
-    /// bit-identical to batch [`infer`](crate::infer()) over the log's
-    /// first `T` intervals.
+    /// The current verdict: Algorithm 1's decision over the kept scores.
+    /// At watermark `T` (unwindowed) this is bit-identical to batch
+    /// [`infer`](crate::infer()) over the log's first `T` intervals.
     pub fn verdict(&self) -> InferenceResult {
-        identify_scores(&self.plan, &self.counts.ys(), self.cfg.algorithm)
+        self.engine.verdict()
     }
 }
 

@@ -61,7 +61,7 @@ fn neutral_generated_population_is_never_flagged_in_either_mode() {
                 s.name
             );
             assert!(out.correct);
-            for v in &out.inference.verdicts {
+            for v in out.inference.verdicts() {
                 max_unsolvability = max_unsolvability.max(v.unsolvability);
             }
         }

@@ -83,7 +83,7 @@ fn main() {
     // 3. Algorithm 1 turns the inconsistency into a localized verdict.
     let result = identify(g, &oracle, Config::exact());
     println!("3. Algorithm 1 (this paper):");
-    for v in &result.verdicts {
+    for v in result.verdicts() {
         println!(
             "   slice {}: unsolvability {:.4} -> {}",
             v.tau,

@@ -49,6 +49,13 @@
 //! let result = identify(&t.topology, &oracle, Config::exact());
 //! assert!(result.network_is_nonneutral());
 //! assert!(result.nonneutral[0].contains(l1));
+//!
+//! // Every analyzed slice explains itself: its pair estimates of x_τ and
+//! // their spread, the unsolvability.
+//! let v = result.verdicts().find(|v| v.tau.contains(l1)).unwrap();
+//! assert!(v.nonneutral);
+//! assert_eq!(v.estimates.len(), v.pairs.len());
+//! assert!((v.unsolvability - (2.0_f64).ln()).abs() < 1e-9);
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios with the packet-level emulator,

@@ -93,7 +93,7 @@ fn exact_mode_never_accuses_a_neutral_network() {
         assert!(
             result.nonneutral.is_empty(),
             "false positives on a neutral network in {} slices",
-            result.verdicts.len()
+            result.verdicts().len()
         );
     }
 }
