@@ -7,14 +7,18 @@
 //!
 //! A zero byte leaves the XOR half of the FNV-1a step unchanged, so
 //! `(h ^ 0)·P = h·P` and a run of `k` zero bytes is a single multiply by
-//! `P^k`. [`Fnv::word`] uses that to fold the zero high bytes of ids,
-//! lengths and `0.0` in one step; every value stays that of the
-//! byte-at-a-time fold.
+//! `P^k`. The byte before the run needs no multiply of its own either:
+//! `((h ^ b)·P)·P^k = (h ^ b)·P^(k+1)`. [`Fnv::word`] fuses the two, so a
+//! word with `s ≥ 1` significant low bytes costs `s` dependent multiplies
+//! (the last one by `P^(9-s)`) and the zero word one multiply by `P^8`. A
+//! 2-byte path id folds in 2 multiplies, `0.0` in 1; every value stays
+//! that of the byte-at-a-time fold.
 
 /// The FNV-1a 64-bit prime `P`.
 const PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// `P^k` (wrapping) for `k` in `0..=8`: the effect of `k` zero bytes.
+/// `P^k` (wrapping) for `k` in `0..=8`: the effect of `k` zero bytes, or
+/// of one byte's multiply followed by `k - 1` zero bytes.
 const ZERO_RUN: [u64; 9] = {
     let mut table = [1u64; 9];
     let mut k = 1;
@@ -46,17 +50,24 @@ impl Fnv {
         self.0 = self.0.wrapping_mul(PRIME);
     }
 
-    /// Folds one u64 as its 8 little-endian bytes: the significant low
-    /// bytes one at a time, then the zero high bytes as one multiply.
+    /// Folds one u64 as its 8 little-endian bytes. With `s ≥ 1`
+    /// significant low bytes: all but the last one step at a time, then
+    /// the last one's step and the zero high bytes as one multiply by
+    /// `P^(9-s)`. The zero word is one multiply by `P^8`.
     #[inline]
     pub fn word(&mut self, w: u64) {
         let significant = 8 - (w.leading_zeros() / 8) as usize;
+        if significant == 0 {
+            self.0 = self.0.wrapping_mul(ZERO_RUN[8]);
+            return;
+        }
         let mut h = self.0;
-        for i in 0..significant {
+        for i in 0..significant - 1 {
             h ^= (w >> (8 * i)) & 0xFF;
             h = h.wrapping_mul(PRIME);
         }
-        self.0 = h.wrapping_mul(ZERO_RUN[8 - significant]);
+        h ^= w >> (8 * (significant - 1));
+        self.0 = h.wrapping_mul(ZERO_RUN[9 - significant]);
     }
 
     /// Folds a byte slice in order: whole 8-byte chunks as little-endian
@@ -111,8 +122,10 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// Checks `w` from fixed start states and one drawn from `w` itself.
     fn assert_word_is_byte_fold(w: u64) {
-        for start in [Fnv::new().0, 0, u64::MAX, 0x1234_5678_9abc_def0] {
+        let random = splitmix(&mut w.clone());
+        for start in [Fnv::new().0, 0, u64::MAX, 0x1234_5678_9abc_def0, random] {
             let mut h = Fnv(start);
             h.word(w);
             assert_eq!(h.0, byte_fold(start, &w.to_le_bytes()), "word {w:#x}");
@@ -156,9 +169,21 @@ mod tests {
         for x in [0.0, -0.0, 0.5, 1e-300, f64::NAN] {
             assert_word_is_byte_fold(f64::to_bits(x));
         }
+        let mut state = 19;
+        // Every significant-byte count 1–8 (0 is the zero word above), the
+        // top significant byte 0x01, 0x80 or 0xFF, random bytes below it.
+        for s in 1..=8 {
+            for top in [0x01u64, 0x80, 0xFF] {
+                for _ in 0..64 {
+                    let below = splitmix(&mut state) & ((1u64 << (8 * (s - 1))) - 1);
+                    let w = top << (8 * (s - 1)) | below;
+                    assert_eq!(8 - w.leading_zeros() as usize / 8, s, "word {w:#x}");
+                    assert_word_is_byte_fold(w);
+                }
+            }
+        }
         // Random words with random bytes zeroed: zero runs at the top, at
         // the bottom and in between.
-        let mut state = 19;
         for _ in 0..10_000 {
             let w = splitmix(&mut state);
             let zeroed = splitmix(&mut state);

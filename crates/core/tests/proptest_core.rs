@@ -69,29 +69,32 @@ struct RefResult {
 
 impl RefResult {
     /// FNV-1a over every field in order, as `InferenceResult::fingerprint`
-    /// is defined.
+    /// is defined: each count, id and flag as its u64's 8 little-endian
+    /// bytes, each f64 as its bit pattern's, folded one canonical
+    /// `Fnv::byte` step at a time (no word shortcut).
     fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
+        let word = |h: &mut Fnv, w: u64| w.to_le_bytes().into_iter().for_each(|b| h.byte(b));
         let seq = |h: &mut Fnv, s: &LinkSeq| {
-            h.word(s.len() as u64);
+            word(h, s.len() as u64);
             for &l in s.links() {
-                h.word(l.index() as u64);
+                word(h, l.index() as u64);
             }
         };
-        h.word(self.verdicts.len() as u64);
+        word(&mut h, self.verdicts.len() as u64);
         for v in &self.verdicts {
             seq(&mut h, &v.tau);
-            h.word(v.estimates.len() as u64);
+            word(&mut h, v.estimates.len() as u64);
             for e in &v.estimates {
-                h.word(e.pair.0.index() as u64);
-                h.word(e.pair.1.index() as u64);
-                h.f64(e.estimate);
+                word(&mut h, e.pair.0.index() as u64);
+                word(&mut h, e.pair.1.index() as u64);
+                word(&mut h, e.estimate.to_bits());
             }
-            h.f64(v.unsolvability);
-            h.word(v.nonneutral as u64);
+            word(&mut h, v.unsolvability.to_bits());
+            word(&mut h, v.nonneutral as u64);
         }
         for list in [&self.nonneutral_raw, &self.nonneutral, &self.neutral] {
-            h.word(list.len() as u64);
+            word(&mut h, list.len() as u64);
             for s in list {
                 seq(&mut h, s);
             }

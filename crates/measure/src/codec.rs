@@ -369,12 +369,7 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
     for _ in 0..n_intervals {
         // An all-zero row is still an interval, so trailing all-idle
         // intervals survive the round trip.
-        let mut sent = Vec::with_capacity(n_paths);
-        let mut lost = Vec::with_capacity(n_paths);
-        for _ in 0..n_paths {
-            sent.push(r.vu()?);
-            lost.push(r.vu()?);
-        }
+        let (sent, lost) = r.row(n_paths)?;
         log.push_interval(sent, lost);
     }
 

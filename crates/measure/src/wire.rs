@@ -253,6 +253,40 @@ impl<'a> WireReader<'a> {
         Err(CodecError::BadValue("varint longer than 64 bits"))
     }
 
+    /// Reads one row of the `(sent vu, lost vu)` grid that `put_rows`
+    /// writes: `width` cells, each a sent count then a lost count. Eight
+    /// bytes with no continuation bit among them are four cells of
+    /// one-byte varints and are taken at once; anywhere else the row reads
+    /// one cell through [`vu`](WireReader::vu). Every value, error and
+    /// stop position is that of the cell-by-cell `vu` loop. Only the set
+    /// decoder reads through it: a segment's interval chunks keep their
+    /// own cell loop, which parses narrow and multi-byte rows faster.
+    pub(crate) fn row(&mut self, width: usize) -> Result<(Vec<u64>, Vec<u64>), CodecError> {
+        let mut sent = vec![0; width];
+        let mut lost = vec![0; width];
+        let mut p = 0;
+        while p < width {
+            if width - p >= 4 {
+                if let Some(chunk) = self.buf.get(self.pos..self.pos + 8) {
+                    let chunk: [u8; 8] = chunk.try_into().expect("8 bytes");
+                    if u64::from_le_bytes(chunk) & 0x8080_8080_8080_8080 == 0 {
+                        for (k, cell) in chunk.chunks_exact(2).enumerate() {
+                            sent[p + k] = cell[0] as u64;
+                            lost[p + k] = cell[1] as u64;
+                        }
+                        self.pos += 8;
+                        p += 4;
+                        continue;
+                    }
+                }
+            }
+            sent[p] = self.vu()?;
+            lost[p] = self.vu()?;
+            p += 1;
+        }
+        Ok((sent, lost))
+    }
+
     /// Reads a varint as a collection length, rejecting counts that exceed
     /// the remaining bytes — a corrupted count fails with a clear error
     /// instead of an OOM.
@@ -483,6 +517,107 @@ mod tests {
         assert_eq!(r.vu().unwrap(), 300);
         assert_eq!(r.str().unwrap(), "héllo");
         assert!(r.is_empty());
+    }
+
+    /// The reference row reader: one `vu` per count, cell by cell.
+    fn row_reference(
+        r: &mut WireReader<'_>,
+        width: usize,
+    ) -> Result<(Vec<u64>, Vec<u64>), CodecError> {
+        let (mut sent, mut lost) = (Vec::new(), Vec::new());
+        for _ in 0..width {
+            sent.push(r.vu()?);
+            lost.push(r.vu()?);
+        }
+        Ok((sent, lost))
+    }
+
+    /// Reads `rows` rows of `width` from `at` with both readers, row by
+    /// row, and asserts the same rows (or error) and the same position
+    /// after each.
+    fn assert_rows_match(bytes: &[u8], at: usize, width: usize, rows: usize) {
+        let mut bulk = WireReader::at(bytes, at);
+        let mut reference = WireReader::at(bytes, at);
+        for i in 0..rows {
+            let got = bulk.row(width);
+            let want = row_reference(&mut reference, width);
+            assert_eq!(got, want, "width {width}, row {i}, {} bytes", bytes.len());
+            assert_eq!(bulk.pos(), reference.pos(), "width {width}, row {i}");
+            if want.is_err() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn row_reads_what_the_cell_by_cell_loop_reads() {
+        // Varint length edges, and one-byte counts to make runs.
+        const EDGES: [u64; 6] = [0, 127, 128, 16383, 16384, u64::MAX];
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for width in 0..=9 {
+            for trial in 0..40 {
+                let rows = 1 + trial % 3;
+                let mut w = WireWriter::new();
+                // A 0–7 byte lead-in, so the one-byte runs sit at every
+                // offset against the 8-byte chunks.
+                let lead = trial % 8;
+                for _ in 0..lead {
+                    w.u8(0x7F);
+                }
+                for _ in 0..rows * width * 2 {
+                    // Mostly one-byte counts (long runs, some crossing a
+                    // chunk), now and then an edge value.
+                    let v = match next() % 8 {
+                        0 => EDGES[next() as usize % EDGES.len()],
+                        _ => next() % 128,
+                    };
+                    w.vu(v);
+                }
+                let bytes = w.into_bytes();
+                let mut r = WireReader::at(&bytes, lead);
+                for _ in 0..rows {
+                    r.row(width).unwrap();
+                }
+                assert!(r.is_empty());
+                // Every truncation: EOF at every byte offset, mid-varint
+                // and between cells.
+                for cut in lead..=bytes.len() {
+                    assert_rows_match(&bytes[..cut], lead, width, rows);
+                }
+            }
+        }
+        // Every edge value in every cell position of a row of width 9.
+        for &v in &EDGES {
+            for cell in 0..18 {
+                let mut w = WireWriter::new();
+                for c in 0..18 {
+                    w.vu(if c == cell { v } else { c as u64 });
+                }
+                let bytes = w.into_bytes();
+                for cut in 0..=bytes.len() {
+                    assert_rows_match(&bytes[..cut], 0, 9, 1);
+                }
+            }
+        }
+        // A varint longer than 64 bits mid-row, and random bytes.
+        let mut bytes = vec![1u8; 9];
+        bytes.extend([0xFF; 11]);
+        bytes.extend([1u8; 12]);
+        for width in 0..=9 {
+            assert_rows_match(&bytes, 0, width, 3);
+        }
+        for _ in 0..200 {
+            let garbage: Vec<u8> = (0..40).map(|_| next() as u8).collect();
+            for width in 0..=9 {
+                assert_rows_match(&garbage, 0, width, 4);
+            }
+        }
     }
 
     #[test]
